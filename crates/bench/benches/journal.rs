@@ -76,7 +76,7 @@ fn publish(c: &mut Criterion) {
     grp.sample_size(10);
     grp.bench_function(BenchmarkId::new("memory", 64), |b| {
         b.iter(|| {
-            let archive: UpdateArchive<8> = UpdateArchive::new();
+            let archive: UpdateArchive<8> = UpdateArchive::new(toy64());
             for (epoch, u) in batch.iter().enumerate() {
                 archive.publish(epoch as u64, black_box(u.clone()));
             }
@@ -141,7 +141,7 @@ fn report(_c: &mut Criterion) {
     });
 
     let memory_ms = time_ms(iters, || {
-        let archive: UpdateArchive<8> = UpdateArchive::new();
+        let archive: UpdateArchive<8> = UpdateArchive::new(toy64());
         for (epoch, u) in batch.iter().enumerate() {
             archive.publish(epoch as u64, u.clone());
         }

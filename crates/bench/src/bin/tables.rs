@@ -2511,7 +2511,7 @@ fn e21() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Tiny segments: the whole history lands in many sealed, indexed
-    // segment files, so the storm is served from disk, not the map.
+    // segment files, so the storm is served from disk.
     let keys = ServerKeyPair::generate(curve, &mut r);
     let spk = *keys.public();
     let clock = SimClock::new();

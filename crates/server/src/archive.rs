@@ -13,42 +13,50 @@ use parking_lot::{Mutex, RwLock};
 use tre_core::KeyUpdate;
 use tre_pairing::Curve;
 
-use crate::journal::{Journal, JournalConfig, JournalStats, ReplayReport};
+use crate::journal::{segment_paths, Journal, JournalConfig, JournalStats, ReplayReport};
 use crate::segments::{SegmentStore, SegmentStoreConfig, SegmentStoreStats};
 
 /// The on-disk backing of a durable archive: the append-only journal
-/// (write path, source of truth), the epoch-indexed segment store (read
-/// path for deep ranges), and the curve needed to encode / decode
-/// record bodies.
-struct Durable<const L: usize> {
-    curve: &'static Curve<L>,
+/// (write path, source of truth) and the epoch-indexed segment store
+/// (where sealed history lives).
+#[derive(Debug)]
+struct Durable {
     journal: Mutex<Journal>,
     segments: Mutex<SegmentStore>,
 }
 
-impl<const L: usize> std::fmt::Debug for Durable<L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Durable").finish_non_exhaustive()
-    }
+/// One update held in RAM: its canonical body bytes and the journal
+/// segment that holds it (0 for an in-memory archive).
+#[derive(Debug)]
+struct TailRecord {
+    seq: u64,
+    body: Vec<u8>,
 }
 
 /// Thread-safe archive of published updates, indexed by epoch.
 ///
-/// By default the archive is purely in-memory; [`UpdateArchive::open_durable`]
-/// backs it with an append-only [`Journal`] so every publish hits stable
-/// storage *before* it is visible to readers, and a restarted server
-/// recovers its complete archive from disk.
-#[derive(Debug, Default)]
+/// Each update is held once. By default the archive is purely
+/// in-memory and keeps every update in RAM. [`UpdateArchive::open_durable`]
+/// backs it with an append-only [`Journal`]: every publish hits stable
+/// storage *before* it is visible to readers, sealed journal segments
+/// move into the [`SegmentStore`] and leave RAM, and a restarted server
+/// recovers its complete archive from disk. Every read goes through one
+/// reader that merges sealed records with the RAM tail by epoch.
+#[derive(Debug)]
 pub struct UpdateArchive<const L: usize> {
-    entries: RwLock<BTreeMap<u64, KeyUpdate<L>>>,
-    durable: Option<Durable<L>>,
+    curve: Curve<L>,
+    /// Epochs whose journal segment is not sealed yet (all of them when
+    /// in-memory).
+    tail: RwLock<BTreeMap<u64, TailRecord>>,
+    durable: Option<Durable>,
 }
 
 impl<const L: usize> UpdateArchive<L> {
-    /// An empty, in-memory archive.
-    pub fn new() -> Self {
+    /// An empty, in-memory archive of updates over `curve`.
+    pub fn new(curve: &Curve<L>) -> Self {
         Self {
-            entries: RwLock::new(BTreeMap::new()),
+            curve: curve.clone(),
+            tail: RwLock::new(BTreeMap::new()),
             durable: None,
         }
     }
@@ -60,9 +68,11 @@ impl<const L: usize> UpdateArchive<L> {
     /// [`publish`](Self::publish) calls append to the journal before
     /// acknowledging.
     ///
-    /// Records whose body no longer decodes as a [`KeyUpdate`] (curve
-    /// mismatch, partial corruption that slipped framing) are dropped and
-    /// counted in the report's `quarantined_records`.
+    /// Only records of journal segments that are not sealed are loaded
+    /// into RAM. Those whose body no longer decodes as a [`KeyUpdate`]
+    /// (curve mismatch, partial corruption that slipped framing) are
+    /// dropped and counted in the report's `quarantined_records`. Sealed
+    /// history is served from its segment files and never decoded here.
     ///
     /// # Errors
     /// Propagates journal / filesystem errors.
@@ -71,32 +81,35 @@ impl<const L: usize> UpdateArchive<L> {
         curve: &'static Curve<L>,
         config: JournalConfig,
     ) -> io::Result<(Self, ReplayReport)> {
-        let (journal, records, mut report) = Journal::open(&dir, config)?;
+        let (journal, _, mut report) = Journal::open(&dir, config)?;
         let mut segments = SegmentStore::open(&dir, SegmentStoreConfig::default())?;
         // Adopt whatever the previous life sealed but never archived —
         // this is also where a kill -9 mid-rotation heals.
         let _ = segments.adopt_sealed(journal.active_segment());
-        let mut map = BTreeMap::new();
-        for (epoch, body) in records {
-            match KeyUpdate::read_body(curve, &body) {
-                Ok(update) => {
-                    map.insert(epoch, update);
-                }
-                Err(_) => {
+        let mut tail = BTreeMap::new();
+        for (seq, _) in segment_paths(dir.as_ref())? {
+            if segments.has_segment(seq) {
+                continue;
+            }
+            // Re-read after `Journal::open` repaired the segment.
+            for (epoch, body) in segments.journal_records(seq) {
+                if KeyUpdate::read_body(curve, &body).is_ok() {
+                    tail.insert(epoch, TailRecord { seq, body });
+                } else {
                     report.records -= 1;
                     report.quarantined_records += 1;
                 }
             }
         }
-        report.latest_epoch = map.keys().next_back().copied();
         let archive = Self {
-            entries: RwLock::new(map),
+            curve: curve.clone(),
+            tail: RwLock::new(tail),
             durable: Some(Durable {
-                curve,
                 journal: Mutex::new(journal),
                 segments: Mutex::new(segments),
             }),
         };
+        report.latest_epoch = archive.latest_epoch();
         Ok((archive, report))
     }
 
@@ -150,26 +163,34 @@ impl<const L: usize> UpdateArchive<L> {
     /// Propagates filesystem errors; errors on an in-memory archive never
     /// occur (no-op).
     pub fn rotate_journal(&self) -> io::Result<()> {
-        match &self.durable {
-            Some(d) => {
-                let active = {
-                    let mut j = d.journal.lock();
-                    j.rotate()?;
-                    j.active_segment()
-                };
-                // The just-sealed segment becomes an indexed archive
-                // segment; a failure here is retried on the next seal.
-                let _ = d.segments.lock().adopt_sealed(active);
-                Ok(())
-            }
-            None => Ok(()),
+        if let Some(d) = &self.durable {
+            let active = {
+                let mut j = d.journal.lock();
+                j.rotate()?;
+                j.active_segment()
+            };
+            self.seal_rotated(d, active);
         }
+        Ok(())
     }
 
-    /// Drops journal records older than `horizon` from sealed segments
-    /// (the in-memory map keeps serving them until restart; the paper's
-    /// archive is conceptually unbounded, so retention is an operator
-    /// decision). Returns records dropped; 0 for an in-memory archive.
+    /// Indexes every rotated-out journal segment below `active` as an
+    /// archive segment and drops the RAM copies of the records it now
+    /// holds. A failed seal keeps its records in RAM; the next rotation
+    /// retries it.
+    fn seal_rotated(&self, d: &Durable, active: u64) {
+        let mut store = d.segments.lock();
+        let _ = store.adopt_sealed(active);
+        self.tail
+            .write()
+            .retain(|_, r| r.seq >= active || !store.has_segment(r.seq));
+    }
+
+    /// Drops journal records older than `horizon` from sealed segments,
+    /// and archive segments wholly below it (records still in RAM keep
+    /// serving until their segment seals; the paper's archive is
+    /// conceptually unbounded, so retention is an operator decision).
+    /// Returns journal records dropped; 0 for an in-memory archive.
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -197,24 +218,26 @@ impl<const L: usize> UpdateArchive<L> {
     /// would silently break the recovery guarantee, so the server crashes
     /// instead.
     pub fn publish(&self, epoch: u64, update: KeyUpdate<L>) {
-        if let Some(d) = &self.durable {
-            let mut body = Vec::new();
-            update.write_body(d.curve, &mut body);
-            let (rotated, active) = {
-                let mut j = d.journal.lock();
-                let before = j.active_segment();
-                j.append(epoch, &body)
-                    .expect("journal append failed: refusing to ack a non-durable update");
-                (j.active_segment() != before, j.active_segment())
-            };
-            if rotated {
-                // The append sealed a segment; index it. Seal failures
-                // are counted and retried — the journal still has the
-                // records, so the publish is not at risk.
-                let _ = d.segments.lock().adopt_sealed(active);
-            }
+        let mut body = Vec::new();
+        update.write_body(&self.curve, &mut body);
+        let Some(d) = &self.durable else {
+            self.tail.write().insert(epoch, TailRecord { seq: 0, body });
+            return;
+        };
+        let (rotated, active) = {
+            let mut j = d.journal.lock();
+            let before = j.active_segment();
+            j.append(epoch, &body)
+                .expect("journal append failed: refusing to ack a non-durable update");
+            let seq = j.active_segment();
+            // Tracked under the journal lock, so no rotation can seal
+            // this segment before its record is in the tail.
+            self.tail.write().insert(epoch, TailRecord { seq, body });
+            (seq != before, seq)
+        };
+        if rotated {
+            self.seal_rotated(d, active);
         }
-        self.entries.write().insert(epoch, update);
     }
 
     /// Fetches the stored update for `epoch`, if any.
@@ -226,7 +249,7 @@ impl<const L: usize> UpdateArchive<L> {
     /// from untrusted sources must enforce their own clock check — this
     /// is a `get_unchecked` in that sense.
     pub fn get(&self, epoch: u64) -> Option<KeyUpdate<L>> {
-        let found = self.entries.read().get(&epoch).cloned();
+        let found = self.range(epoch, epoch).pop().map(|(_, u)| u);
         if tre_obs::is_enabled() {
             let outcome = if found.is_some() { "hit" } else { "miss" };
             tre_obs::event("archive.fetch", &format!("epoch={epoch} {outcome}"));
@@ -236,157 +259,120 @@ impl<const L: usize> UpdateArchive<L> {
 
     /// The most recent archived epoch.
     pub fn latest_epoch(&self) -> Option<u64> {
-        self.entries.read().keys().next_back().copied()
+        // The segment lock spans the tail read, as in `read`.
+        let store = self.durable.as_ref().map(|d| d.segments.lock());
+        let sealed = store.as_ref().and_then(|s| s.sealed_max_epoch());
+        sealed.max(self.tail.read().keys().next_back().copied())
     }
 
-    /// Number of archived updates.
+    /// Number of archived records: sealed ones plus those in RAM. This is
+    /// the number of epochs unless an epoch was re-published after the
+    /// segment holding its first copy sealed.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        let store = self.durable.as_ref().map(|d| d.segments.lock());
+        let sealed = store.as_ref().map_or(0, |s| s.total_records());
+        sealed as usize + self.tail.read().len()
     }
 
     /// Whether the archive is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.len() == 0
     }
 
     /// All updates in the inclusive epoch range (for catch-up after an
-    /// outage). Materialises the whole span — the serving path should
-    /// prefer [`read_range_chunk`](Self::read_range_chunk).
+    /// outage), decoded. Materialises the whole span — the serving path
+    /// should prefer [`read_range_chunk_raw`](Self::read_range_chunk_raw).
     pub fn range(&self, from: u64, to: u64) -> Vec<(u64, KeyUpdate<L>)> {
-        self.entries
-            .read()
-            .range(from..=to)
-            .map(|(e, u)| (*e, u.clone()))
-            .collect()
+        let (mut out, mut next) = (Vec::new(), Some(from));
+        // A read stops early only at a segment read error, which takes
+        // that segment out of the store, so this ends.
+        while let Some(start) = next {
+            let records;
+            (records, next) = self.read(start, to, usize::MAX);
+            out.extend(records.into_iter().filter_map(|(e, body)| {
+                KeyUpdate::read_body(&self.curve, &body)
+                    .ok()
+                    .map(|u| (e, u))
+            }));
+        }
+        out
     }
 
     /// Bounded chunk of the inclusive epoch range `[from, to]`: at most
-    /// `max` updates in ascending epoch order, plus the epoch to resume
-    /// from when the range has more (`None` when this chunk finishes
-    /// it). Sealed epochs stream straight off the segment files — no
-    /// full-span materialisation; epochs past the sealed horizon (and
-    /// in-memory archives, and segment read failures) are served from
-    /// the live map.
-    pub fn read_range_chunk(
-        &self,
-        from: u64,
-        to: u64,
-        max: usize,
-    ) -> (Vec<(u64, KeyUpdate<L>)>, Option<u64>) {
-        if max == 0 || from > to {
-            return (Vec::new(), None);
-        }
-        let mut out: Vec<(u64, KeyUpdate<L>)> = Vec::new();
-        if let Some(d) = &self.durable {
-            let mut store = d.segments.lock();
-            if let Some(sealed_max) = store.sealed_max_epoch() {
-                if from <= sealed_max {
-                    match store.read_range(from, to.min(sealed_max), max) {
-                        Ok(records) => {
-                            for (e, body) in records {
-                                if let Ok(u) = KeyUpdate::read_body(d.curve, &body) {
-                                    out.push((e, u));
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            // Injected or real read failure: degrade to
-                            // the in-memory map below (counted in the
-                            // store's read_failures).
-                        }
-                    }
-                }
-            }
-        }
-        if out.len() < max {
-            let resume = out.last().map_or(from, |(e, _)| e + 1);
-            if resume <= to {
-                let entries = self.entries.read();
-                for (e, u) in entries.range(resume..=to) {
-                    out.push((*e, u.clone()));
-                    if out.len() >= max {
-                        break;
-                    }
-                }
-            }
-        }
-        let next = match out.last() {
-            Some((last, _)) if out.len() >= max && *last < to => Some(last + 1),
-            _ => None,
-        };
-        (out, next)
-    }
-
-    /// [`read_range_chunk`](Self::read_range_chunk) without the decode:
-    /// at most `max` *canonical body byte strings* in ascending epoch
-    /// order, plus the resume epoch. Sealed records are returned exactly
-    /// as stored (their CRC already vouched for them on read); epochs
-    /// past the sealed horizon are re-encoded from the live map — pure
-    /// serialization, no curve arithmetic either way.
+    /// `max` *canonical body byte strings* in ascending epoch order, each
+    /// epoch once, plus the epoch to resume from when the range has more
+    /// (`None` when this chunk finishes it). A segment read failure ends
+    /// the chunk before the failed segment, possibly empty, with the
+    /// resume epoch pointing at it; from then on its records are served
+    /// from its journal segment (see [`read`](Self::read)). `curve` is
+    /// unused: the archive knows its curve.
     ///
-    /// This is the serving path for deep catch-up replays: decoding a
-    /// stored body costs two compressed-point decompressions (a field
-    /// sqrt each), which at archive scale turns one replay into hundreds
-    /// of milliseconds of shard-thread CPU. Updates are
-    /// self-authenticating, so the server ships stored bytes verbatim
-    /// and receivers — who verify every update against the server key
-    /// anyway — reject anything mangled.
+    /// This is the serving path for deep catch-up replays: bytes ship as
+    /// stored, with no decode. Decoding a body costs a point
+    /// decompression (a field sqrt), which at archive scale turns one
+    /// replay into hundreds of milliseconds of shard-thread CPU. Updates
+    /// are self-authenticating, so receivers — who verify every update
+    /// against the server key anyway — reject anything mangled.
     pub fn read_range_chunk_raw(
         &self,
-        curve: &Curve<L>,
+        _curve: &Curve<L>,
         from: u64,
         to: u64,
         max: usize,
     ) -> (Vec<(u64, Vec<u8>)>, Option<u64>) {
+        self.read(from, to, max)
+    }
+
+    /// The one reader behind every lookup: merges the sealed records and
+    /// the RAM tail by epoch. The segment lock is held across both, and
+    /// records leave the tail only under it, so a sealing publish can
+    /// never hide (or double) an epoch for a concurrent read.
+    /// A sealed segment that fails to read leaves the store, and its
+    /// journal copy moves into the tail until the next rotation reseals
+    /// it, so an error that recurs costs one stopped chunk.
+    fn read(&self, from: u64, to: u64, max: usize) -> (Vec<(u64, Vec<u8>)>, Option<u64>) {
         if max == 0 || from > to {
             return (Vec::new(), None);
         }
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        if let Some(d) = &self.durable {
-            let mut store = d.segments.lock();
-            if let Some(sealed_max) = store.sealed_max_epoch() {
-                if from <= sealed_max {
-                    match store.read_range(from, to.min(sealed_max), max) {
-                        Ok(records) => out = records,
-                        Err(_) => {
-                            // Injected or real read failure: degrade to
-                            // the in-memory map below (counted in the
-                            // store's read_failures).
-                        }
+        // Held until the tail is read (see above).
+        let mut store = self.durable.as_ref().map(|d| d.segments.lock());
+        let (mut out, mut horizon) = (Vec::new(), None);
+        if let Some(store) = store
+            .as_deref_mut()
+            .filter(|s| s.sealed_max_epoch().is_some_and(|m| from <= m))
+        {
+            let failed;
+            (out, failed) = store.read_range_partial(from, to, max);
+            // The first epoch the sealed read did not cover — at a failed
+            // segment, or past a full chunk. The merge stops before it.
+            horizon = match failed {
+                Some((resume, seq, _)) => {
+                    let mut tail = self.tail.write();
+                    for (epoch, body) in store.evict(seq) {
+                        tail.insert(epoch, TailRecord { seq, body });
                     }
+                    Some(resume)
                 }
-            }
+                None => out.get(max - 1).map(|(e, _)| e + 1),
+            };
         }
-        if out.len() < max {
-            let resume = out.last().map_or(from, |(e, _)| e + 1);
-            if resume <= to {
-                let entries = self.entries.read();
-                for (e, u) in entries.range(resume..=to) {
-                    let mut body = Vec::new();
-                    u.write_body(curve, &mut body);
-                    out.push((*e, body));
-                    if out.len() >= max {
-                        break;
-                    }
-                }
-            }
-        }
+        out.extend(
+            self.tail
+                .read()
+                .range(from..=to)
+                .take_while(|(e, _)| horizon.is_none_or(|h| **e < h))
+                .take(max)
+                .map(|(e, r)| (*e, r.body.clone())),
+        );
+        // Stable: a sealed copy of an epoch wins over a RAM one.
+        out.sort_by_key(|(e, _)| *e);
+        out.dedup_by_key(|(e, _)| *e);
+        out.truncate(max);
         let next = match out.last() {
-            Some((last, _)) if out.len() >= max && *last < to => Some(last + 1),
-            _ => None,
+            Some((last, _)) if out.len() >= max => (*last < to).then(|| last + 1),
+            _ => horizon.filter(|h| *h <= to),
         };
         (out, next)
-    }
-
-    /// Total bytes a client would download to fetch `from..=to` (framed
-    /// wire encoding, as the TCP catch-up path ships it) — used by the
-    /// scalability experiments.
-    pub fn range_size_bytes(&self, from: u64, to: u64, curve: &tre_pairing::Curve<L>) -> usize {
-        use tre_wire::Wire;
-        self.range(from, to)
-            .iter()
-            .map(|(_, u)| u.wire_bytes(curve).len())
-            .sum()
     }
 }
 
@@ -405,7 +391,7 @@ mod tests {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let server = ServerKeyPair::generate(curve, &mut rng);
-        let archive = UpdateArchive::new();
+        let archive = UpdateArchive::new(curve);
         assert!(archive.is_empty());
         assert_eq!(archive.get(3), None);
         archive.publish(3, update(&server, 3));
@@ -419,7 +405,7 @@ mod tests {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let server = ServerKeyPair::generate(curve, &mut rng);
-        let archive = UpdateArchive::new();
+        let archive = UpdateArchive::new(curve);
         for e in 0..10 {
             archive.publish(e, update(&server, e));
         }
@@ -427,7 +413,6 @@ mod tests {
         assert_eq!(caught_up.len(), 4);
         assert_eq!(caught_up[0].0, 4);
         assert_eq!(caught_up[3].0, 7);
-        assert!(archive.range_size_bytes(4, 7, curve) > 0);
         assert_eq!(archive.range(20, 30).len(), 0);
     }
 
@@ -436,7 +421,7 @@ mod tests {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let server = ServerKeyPair::generate(curve, &mut rng);
-        let archive = std::sync::Arc::new(UpdateArchive::new());
+        let archive = std::sync::Arc::new(UpdateArchive::new(curve));
         let mut handles = vec![];
         for t in 0..4u64 {
             let a = archive.clone();
@@ -505,13 +490,13 @@ mod tests {
         let (archive, report) =
             UpdateArchive::open_durable(&dir, curve, JournalConfig::default()).unwrap();
         assert_eq!(report.records, 2, "journal keeps both appends");
-        assert_eq!(archive.len(), 1, "map deduplicates by epoch");
+        assert_eq!(archive.len(), 1, "tail deduplicates by epoch");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn in_memory_archive_durability_hooks_are_noops() {
-        let archive: UpdateArchive<8> = UpdateArchive::new();
+        let archive: UpdateArchive<8> = UpdateArchive::new(toy64());
         assert!(!archive.is_durable());
         assert!(archive.journal_stats().is_none());
         archive.sync().unwrap();

@@ -803,7 +803,7 @@ mod tests {
         let tag = server.tag_for_epoch(4);
         let ct = seal(&spk, client.public_key(), &tag, b"m");
         client.receive_ciphertext(ct, 0);
-        let empty = UpdateArchive::new();
+        let empty = UpdateArchive::new(curve);
         let g = server.granularity();
         // Attempt at t=0 misses: next attempt not before t=2.
         assert_eq!(client.catch_up(&empty, 0, |t| g.epoch_of_tag(t)), 0);

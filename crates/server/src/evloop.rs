@@ -44,8 +44,8 @@ use std::thread::JoinHandle;
 use tre_core::KeyUpdate;
 use tre_pairing::Curve;
 use tre_wire::{
-    frame_raw_body, peek_frame, Busy, CatchUpRequest, CommitteeHello, Hello, KeyUpdateShare,
-    Telemetry, Wire, HEADER_LEN, TAG_KEY_UPDATE, TAG_KEY_UPDATE_SHARE,
+    frame_raw_body, peek_frame, Busy, CatchUpRequest, CommitteeHello, Hello, Telemetry, Wire,
+    HEADER_LEN, TAG_KEY_UPDATE, TAG_KEY_UPDATE_SHARE,
 };
 
 use crate::archive::UpdateArchive;
@@ -170,7 +170,8 @@ pub(crate) struct ServeShared<const L: usize> {
     pub queue_capacity: usize,
     pub send_buffer: Option<u32>,
     /// `Some(i)`: committee mode — frames every update as a
-    /// [`KeyUpdateShare`] and greets subscribers with [`CommitteeHello`].
+    /// [`KeyUpdateShare`](tre_wire::KeyUpdateShare) and greets
+    /// subscribers with [`CommitteeHello`].
     pub member: Option<u32>,
     /// The epoch schedule, for deriving an update's epoch when stamping
     /// its telemetry trailer.
@@ -189,44 +190,37 @@ pub(crate) struct ServeShared<const L: usize> {
 }
 
 /// Encodes one update as this daemon's broadcast frame: a bare
-/// [`KeyUpdate`] normally, a member-tagged [`KeyUpdateShare`] in
-/// committee mode. With tracing enabled, a [`Telemetry`] trailer frame
-/// is appended in the same buffer — epoch, origin, the origin's publish
-/// stamp, and `hops` (how many process boundaries the update has
-/// crossed; bumped per relay level and on catch-up replay) — v1 peers
-/// skip the unknown tag.
+/// [`KeyUpdate`] normally, a member-tagged
+/// [`KeyUpdateShare`](tre_wire::KeyUpdateShare) in committee mode. It
+/// is the canonical body framed by [`encode_update_frame_raw`]. With
+/// tracing enabled, a [`Telemetry`] trailer frame is appended in the
+/// same buffer — epoch, origin, the origin's publish stamp, and `hops`
+/// (how many process boundaries the update has crossed; bumped per
+/// relay level and on catch-up replay) — v1 peers skip the unknown tag.
 pub(crate) fn encode_update_frame<const L: usize>(
     shared: &ServeShared<L>,
     update: &KeyUpdate<L>,
     hops: u8,
 ) -> Arc<Vec<u8>> {
-    let mut bytes = match shared.member {
-        Some(member) => KeyUpdateShare {
-            member,
-            update: update.clone(),
-        }
-        .wire_bytes(shared.curve),
-        None => update.wire_bytes(shared.curve),
-    };
-    if shared.trace.is_some() {
-        if let Some(epoch) = shared.granularity.epoch_of_tag(update.tag()) {
-            append_telemetry_trailer(shared, epoch, hops, &mut bytes);
-        }
-    }
-    Arc::new(bytes)
+    let mut body = Vec::new();
+    update.write_body(shared.curve, &mut body);
+    let epoch = shared.granularity.epoch_of_tag(update.tag());
+    encode_update_frame_raw(shared, epoch, &body, hops)
 }
 
 /// [`encode_update_frame`] for an *already-encoded* canonical update
 /// body (as the journal and archive segments store it): the body is
 /// framed verbatim — committee mode prepends the member index, which is
-/// all [`KeyUpdateShare`] adds on the wire — so replaying a stored
-/// update costs zero curve arithmetic. Decoding each body just to
-/// re-serialize it put two field sqrts (point decompressions) on the
-/// shard thread per replayed record, which at archive depth starved the
-/// write path for hundreds of milliseconds per admitted catch-up.
+/// all [`KeyUpdateShare`](tre_wire::KeyUpdateShare) adds on the wire —
+/// so replaying a stored update costs zero curve arithmetic. Decoding
+/// each body just to re-serialize it put two field sqrts (point
+/// decompressions) on the shard thread per replayed record, which at
+/// archive depth starved the write path for hundreds of milliseconds
+/// per admitted catch-up. The telemetry trailer needs the `epoch`;
+/// without one none is appended.
 fn encode_update_frame_raw<const L: usize>(
     shared: &ServeShared<L>,
-    epoch: u64,
+    epoch: Option<u64>,
     body: &[u8],
     hops: u8,
 ) -> Arc<Vec<u8>> {
@@ -240,7 +234,7 @@ fn encode_update_frame_raw<const L: usize>(
         }
         None => frame_raw_body(TAG_KEY_UPDATE, body, &mut bytes),
     }
-    if shared.trace.is_some() {
+    if let Some(epoch) = epoch.filter(|_| shared.trace.is_some()) {
         append_telemetry_trailer(shared, epoch, hops, &mut bytes);
     }
     Arc::new(bytes)
@@ -793,33 +787,34 @@ fn handle_control_frame<const L: usize>(
 }
 
 /// Advances one connection's admitted replay: reads the archive in
-/// [`CatchUpConfig::chunk`]-sized pieces and enqueues the frames until
-/// the range completes or the bounded write queue refuses one — then
-/// the job pauses at that epoch and resumes on a later round once the
-/// socket drains (a subscriber that never drains is evicted by the
-/// broadcast path, which releases the slot).
+/// [`CatchUpConfig::chunk`]-sized pieces, capped at the write queue's
+/// free slots so nothing read is thrown away, and enqueues the frames
+/// until the range completes or the queue is full — then the job pauses
+/// and resumes on a later round once the socket drains (a subscriber
+/// that never drains is evicted by the broadcast path, which releases
+/// the slot). A read that fails before yielding a record also pauses it.
 fn service_catch_up<const L: usize>(
     shared: &ServeShared<L>,
     wq: &mut WriteQueue,
     slot: &mut Option<CatchUpJob>,
 ) {
     let Some(job) = *slot else { return };
-    if wq.queue.len() >= shared.queue_capacity {
-        return; // No room this round; retry after the writer drains.
-    }
     let mut next = job.next;
     let done = loop {
-        let chunk = shared.catch_up.chunk.max(1);
-        let (updates, more) =
-            shared
-                .archive
-                .read_range_chunk_raw(shared.curve, next, job.to, chunk);
-        let mut stalled = false;
+        let free = shared.queue_capacity.saturating_sub(wq.queue.len());
+        if free == 0 {
+            break false; // No room this round; retry after the writer drains.
+        }
+        let want = shared.catch_up.chunk.max(1).min(free);
+        let (updates, more) = shared
+            .archive
+            .read_range_chunk_raw(shared.curve, next, job.to, want);
+        let mut refused = false;
         for (epoch, body) in &updates {
-            let frame = encode_update_frame_raw(shared, *epoch, body, replay_hops(shared, *epoch));
+            let hops = replay_hops(shared, *epoch);
+            let frame = encode_update_frame_raw(shared, Some(*epoch), body, hops);
             if !enqueue_direct(wq, shared.queue_capacity, frame, &shared.stats) {
-                next = *epoch;
-                stalled = true;
+                refused = true;
                 break;
             }
             shared
@@ -828,12 +823,15 @@ fn service_catch_up<const L: usize>(
                 .fetch_add(1, Ordering::Relaxed);
             next = epoch.saturating_add(1);
         }
-        if stalled {
-            break false;
-        }
         match more {
-            Some(resume) => next = resume,
+            _ if refused => break false,
             None => break true,
+            Some(resume) => {
+                next = resume;
+                if updates.is_empty() {
+                    break false; // A segment read failed: pause for the round.
+                }
+            }
         }
     };
     if done {
@@ -880,7 +878,7 @@ mod tests {
     fn test_shared(catch_up: CatchUpConfig, queue_capacity: usize) -> ServeShared<8> {
         ServeShared {
             curve: tre_pairing::toy64(),
-            archive: Arc::new(UpdateArchive::new()),
+            archive: Arc::new(UpdateArchive::new(tre_pairing::toy64())),
             stats: Arc::new(TredStats::default()),
             shutdown: AtomicBool::new(false),
             queue_capacity,
@@ -1005,6 +1003,95 @@ mod tests {
             rounds >= 3,
             "a 10-epoch range through a 4-deep queue pauses"
         );
+    }
+
+    /// The encoder that framed a decoded [`KeyUpdate`] directly: the
+    /// byte reference for [`encode_update_frame`].
+    fn reference_frame(shared: &ServeShared<8>, update: &KeyUpdate<8>, hops: u8) -> Vec<u8> {
+        let mut bytes = match shared.member {
+            Some(member) => tre_wire::KeyUpdateShare {
+                member,
+                update: update.clone(),
+            }
+            .wire_bytes(shared.curve),
+            None => update.wire_bytes(shared.curve),
+        };
+        if shared.trace.is_some() {
+            if let Some(epoch) = shared.granularity.epoch_of_tag(update.tag()) {
+                append_telemetry_trailer(shared, epoch, hops, &mut bytes);
+            }
+        }
+        bytes
+    }
+
+    /// Live frames are byte-identical to the reference encoder for plain,
+    /// committee-member and traced daemons, including an off-schedule
+    /// tag that gets no trailer.
+    #[test]
+    fn update_frames_match_reference_encoder() {
+        let curve = tre_pairing::toy64();
+        let keys = ServerKeyPair::generate(curve, &mut rand::thread_rng());
+        let on_schedule = keys.issue_update(curve, &Granularity::Seconds.tag_for_epoch(7));
+        let off_schedule = keys.issue_update(curve, &tre_core::ReleaseTag::time("not-an-epoch"));
+        let sink = TraceSink::new();
+        sink.record(7, crate::telemetry::Stage::Publish, 1234);
+        for (member, trace) in [None, Some(3)]
+            .into_iter()
+            .flat_map(|m| [(m, None), (m, Some(sink.clone()))])
+        {
+            let mut shared = test_shared(CatchUpConfig::default(), 4);
+            (shared.member, shared.trace) = (member, trace);
+            for update in [&on_schedule, &off_schedule] {
+                assert_eq!(
+                    *encode_update_frame(&shared, update, 2),
+                    reference_frame(&shared, update, 2),
+                    "member={member:?} traced={}",
+                    shared.trace.is_some()
+                );
+            }
+        }
+    }
+
+    /// A segment read error pauses the replay in place for the round; the
+    /// next round resumes there and sends every epoch once, in order.
+    #[test]
+    fn catch_up_pauses_on_read_error_and_resumes_in_order() {
+        let dir = std::env::temp_dir().join(format!("tre-evloop-readerr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = crate::JournalConfig {
+            fsync: crate::FsyncPolicy::OnClose,
+            max_segment_bytes: 512,
+        };
+        let mut shared = test_shared(CatchUpConfig::default(), 64);
+        shared.archive = Arc::new(
+            UpdateArchive::open_durable(&dir, shared.curve, config)
+                .unwrap()
+                .0,
+        );
+        publish_epochs(&shared, 40);
+        let fault = crate::FaultPlan::new().at(0, crate::Fault::SegmentReadError);
+        shared.archive.set_segment_fault_plan(&fault);
+        shared.active_catch_ups.store(1, Ordering::Relaxed);
+        let (mut wq, job) = (WriteQueue::new(), CatchUpJob { next: 0, to: 39 });
+        let mut slot = Some(job);
+        service_catch_up(&shared, &mut wq, &mut slot);
+        assert!(wq.queue.is_empty() && slot == Some(job), "paused in place");
+        service_catch_up(&shared, &mut wq, &mut slot);
+        assert_eq!(slot, None, "range completed in one round");
+        let sent: Vec<&[u8]> = wq
+            .queue
+            .iter()
+            .map(|f| peek_frame(f).unwrap().unwrap().1)
+            .collect();
+        let stored = shared
+            .archive
+            .read_range_chunk_raw(shared.curve, 0, 39, 64)
+            .0;
+        assert_eq!(
+            sent,
+            stored.iter().map(|(_, b)| b.as_slice()).collect::<Vec<_>>()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Queue-level eviction test: deterministic, no sockets involved.

@@ -24,8 +24,6 @@
 //!   crash/restart, partitions, duplicate storms, reordering, corruption,
 //!   Byzantine equivocation/forgery, archive outages) with safety and
 //!   liveness invariant checking (experiment E13);
-//! * [`LiveHub`] — a thread-based fan-out hub (crossbeam channels) for
-//!   running real server/receiver threads instead of the simulation;
 //! * [`Feed`] — the unified subscription surface ([`feed`] has the
 //!   builder entry points) that [`BroadcastNet`], [`TcpFeed`],
 //!   [`SupervisedFeed`], [`CommitteeFeed`], and the relay upstream all
@@ -96,7 +94,6 @@ mod evloop;
 mod faults;
 pub mod feed;
 mod journal;
-mod live;
 mod metrics;
 mod net;
 mod relay;
@@ -121,7 +118,6 @@ pub use journal::{
     FsyncPolicy, Journal, JournalConfig, JournalStats, ReplayReport, RECORD_HEADER_LEN,
     RECORD_MAGIC, RECORD_TRAILER_LEN,
 };
-pub use live::LiveHub;
 pub use metrics::{ClientHealth, LatencyHistogram};
 pub use net::{BroadcastNet, NetConfig, NetStats, SubscriberId};
 pub use relay::{Relay, RelayConfig, RelayStats};

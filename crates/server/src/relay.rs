@@ -184,7 +184,7 @@ impl<const L: usize> Relay<L> {
 
         let shared = Arc::new(ServeShared {
             curve,
-            archive: Arc::new(UpdateArchive::new()),
+            archive: Arc::new(UpdateArchive::new(curve)),
             stats: Arc::new(TredStats::default()),
             shutdown: AtomicBool::new(false),
             queue_capacity: config.queue_capacity,

@@ -1,10 +1,10 @@
 //! Epoch-indexed durable segment store: the archive's read-optimised
 //! on-disk shape.
 //!
-//! The journal (PR 5) makes the archive *durable*: every publish is an
-//! fsynced append. But replay is linear and serving a deep catch-up
-//! range from the in-memory map clones the whole span. This module adds
-//! the read side the paper's §3 archive needs at scale: when the
+//! The journal makes the archive *durable*: every publish is an fsynced
+//! append. But replay is linear. This module adds the read side the
+//! paper's §3 archive needs at scale, and is the only home of sealed
+//! history (the archive keeps just unsealed records in RAM): when the
 //! journal rotates, the sealed `seg-<seq>.trej` segment is **adopted**
 //! into a sorted, epoch-indexed archive segment `arch-<seq>.tres` —
 //! same CRC-framed record layout, records sorted by epoch, written via
@@ -50,8 +50,8 @@ use std::path::{Path, PathBuf};
 
 use crate::faults::{Fault, FaultPlan};
 use crate::journal::{
-    crc32, encode_record, scan_segment, segment_paths, MAX_RECORD_BODY, RECORD_HEADER_LEN,
-    RECORD_MAGIC, RECORD_TRAILER_LEN,
+    crc32, encode_record, scan_segment, segment_name, segment_paths, ReplayedRecord,
+    MAX_RECORD_BODY, RECORD_HEADER_LEN, RECORD_MAGIC, RECORD_TRAILER_LEN,
 };
 
 /// Segment-store tuning knobs.
@@ -125,7 +125,7 @@ impl SegmentStoreStats {
 }
 
 /// In-memory metadata for one sealed archive segment.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SealedSegment {
     seq: u64,
     path: PathBuf,
@@ -375,7 +375,7 @@ impl SegmentStore {
     pub fn adopt_sealed(&mut self, active_seq: u64) -> io::Result<u64> {
         let mut sealed = 0u64;
         for (seq, path) in segment_paths(&self.dir)? {
-            if seq >= active_seq || self.segments.iter().any(|s| s.seq == seq) {
+            if seq >= active_seq || self.has_segment(seq) {
                 continue;
             }
             match self.seal_one(seq, &path) {
@@ -479,17 +479,22 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Reads `[start, end)` of a sealed segment file (one I/O op, read
-    /// class — an armed [`Fault::SegmentReadError`] fires here).
-    fn read_window(&mut self, path: &Path, start: u64, end: u64) -> io::Result<Vec<u8>> {
-        if let Some(SegFault::ReadError) = self.take_fault(false) {
-            return Err(io::Error::other("injected read error"));
-        }
-        let mut f = File::open(path)?;
-        f.seek(SeekFrom::Start(start))?;
-        let mut buf = vec![0u8; (end - start) as usize];
-        f.read_exact(&mut buf)?;
-        Ok(buf)
+    /// Reads `[start, end)` of sealed segment `seg` (one I/O op, read
+    /// class — an armed [`Fault::SegmentReadError`] fires here), counting
+    /// a failure in `read_failures`.
+    fn read_window(&mut self, seg: usize, start: u64, end: u64) -> io::Result<Vec<u8>> {
+        let read = if let Some(SegFault::ReadError) = self.take_fault(false) {
+            Err(io::Error::other("injected read error"))
+        } else {
+            File::open(&self.segments[seg].path).and_then(|mut f| {
+                f.seek(SeekFrom::Start(start))?;
+                let mut buf = vec![0u8; (end - start) as usize];
+                f.read_exact(&mut buf)?;
+                Ok(buf)
+            })
+        };
+        self.stats.read_failures += read.is_err() as u64;
+        read
     }
 
     /// Parses the dense records of a validated window, calling `emit`
@@ -550,8 +555,7 @@ impl SegmentStore {
     /// [`SegmentStoreStats::lookup_probes`].
     ///
     /// # Errors
-    /// Propagates read errors (including injected ones); the caller may
-    /// fall back to its in-memory view.
+    /// Propagates read errors (including injected ones).
     pub fn lookup(&mut self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
         self.stats.lookups += 1;
         // Binary search for the first segment whose range can hold the
@@ -560,18 +564,12 @@ impl SegmentStore {
         let mut i = self.segments.partition_point(|s| s.max_epoch < epoch);
         self.stats.lookup_probes += (self.segments.len().max(1)).ilog2() as u64 + 1;
         while i < self.segments.len() && self.segments[i].min_epoch <= epoch {
-            let seg = self.segments[i].clone();
+            let seg = &self.segments[i];
             if seg.records > 0 && epoch <= seg.max_epoch {
-                let (start, end, idx_probes) = Self::index_window(&seg, epoch);
+                let (start, end, idx_probes) = Self::index_window(seg, epoch);
                 self.stats.lookup_probes += idx_probes;
                 if end > start {
-                    let window = match self.read_window(&seg.path, start, end) {
-                        Ok(w) => w,
-                        Err(e) => {
-                            self.stats.read_failures += 1;
-                            return Err(e);
-                        }
-                    };
+                    let window = self.read_window(i, start, end)?;
                     let mut found = None;
                     let mut scanned = 0u64;
                     Self::walk_window(&window, start, |e, body| {
@@ -605,15 +603,32 @@ impl SegmentStore {
         from: u64,
         to: u64,
         max_records: usize,
-    ) -> io::Result<Vec<(u64, Vec<u8>)>> {
+    ) -> io::Result<Vec<ReplayedRecord>> {
+        match self.read_range_partial(from, to, max_records) {
+            (out, None) => Ok(out),
+            (_, Some((_, _, e))) => Err(e),
+        }
+    }
+
+    /// [`read_range`](Self::read_range) that keeps what it read before a
+    /// failure: the records of the segments before the failed one, plus
+    /// the first epoch the failed segment could hold, its sequence
+    /// number and the error. Every record returned lies below that
+    /// epoch, so a caller can serve them and retry from it.
+    pub(crate) fn read_range_partial(
+        &mut self,
+        from: u64,
+        to: u64,
+        max_records: usize,
+    ) -> (Vec<ReplayedRecord>, Option<(u64, u64, io::Error)>) {
         self.stats.range_reads += 1;
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut out: Vec<ReplayedRecord> = Vec::new();
         if from > to || max_records == 0 {
-            return Ok(out);
+            return (out, None);
         }
         let start_seg = self.segments.partition_point(|s| s.max_epoch < from);
         for i in start_seg..self.segments.len() {
-            let seg = self.segments[i].clone();
+            let seg = &self.segments[i];
             if seg.min_epoch > to || out.len() >= max_records {
                 break;
             }
@@ -622,7 +637,7 @@ impl SegmentStore {
             }
             // Window: from the index entry at-or-before `from` up to the
             // first entry past `to` (or the intact end).
-            let (start, _, _) = Self::index_window(&seg, from);
+            let (start, _, _) = Self::index_window(seg, from);
             let end_pos = seg.index.partition_point(|(e, _)| *e <= to);
             let end = seg
                 .index
@@ -632,33 +647,52 @@ impl SegmentStore {
             if end == start {
                 continue;
             }
-            let window = match self.read_window(&seg.path, start, end) {
-                Ok(w) => w,
-                Err(e) => {
-                    self.stats.read_failures += 1;
-                    return Err(e);
-                }
-            };
-            let mut full = false;
-            Self::walk_window(&window, start, |e, body| {
-                if e > to {
-                    return false;
-                }
-                if e >= from {
-                    out.push((e, body.to_vec()));
-                    if out.len() >= max_records {
-                        full = true;
+            let resume = from.max(seg.min_epoch);
+            let walked = self.read_window(i, start, end).and_then(|window| {
+                Self::walk_window(&window, start, |e, body| {
+                    if e > to {
                         return false;
                     }
-                }
-                true
-            })?;
-            if full {
-                break;
+                    if e >= from {
+                        out.push((e, body.to_vec()));
+                    }
+                    out.len() < max_records
+                })
+            });
+            if let Err(e) = walked {
+                // Drop what the failed window yielded before it broke.
+                out.retain(|(e, _)| *e < resume);
+                self.stats.range_records += out.len() as u64;
+                return (out, Some((resume, self.segments[i].seq, e)));
             }
         }
         self.stats.range_records += out.len() as u64;
-        Ok(out)
+        (out, None)
+    }
+
+    /// Drops sealed segment `seq` from the index (after a read error)
+    /// and returns its [`journal_records`](Self::journal_records). The
+    /// next [`adopt_sealed`](Self::adopt_sealed) reseals it; a reopen
+    /// re-validates its file.
+    pub(crate) fn evict(&mut self, seq: u64) -> Vec<ReplayedRecord> {
+        if let Ok(i) = self.segments.binary_search_by_key(&seq, |s| s.seq) {
+            self.segments.remove(i);
+        }
+        self.journal_records(seq)
+    }
+
+    /// The intact records of journal segment `seq`, in append order —
+    /// empty when it is gone or unreadable.
+    pub(crate) fn journal_records(&self, seq: u64) -> Vec<ReplayedRecord> {
+        let mut bytes = Vec::new();
+        File::open(self.dir.join(segment_name(seq)))
+            .and_then(|mut f| f.read_to_end(&mut bytes))
+            .map_or_else(|_| Vec::new(), |_| scan_segment(&bytes).records)
+    }
+
+    /// Whether journal segment `seq` has been sealed into this store.
+    pub(crate) fn has_segment(&self, seq: u64) -> bool {
+        self.segments.binary_search_by_key(&seq, |s| s.seq).is_ok()
     }
 
     /// Largest epoch present in any sealed segment, if any.

@@ -61,7 +61,7 @@ impl<'c, const L: usize> TimeServer<'c, L> {
             keys,
             clock,
             granularity,
-            archive: Arc::new(UpdateArchive::new()),
+            archive: Arc::new(UpdateArchive::new(curve)),
             next_epoch,
             broadcasts: 0,
             trace: None,
@@ -302,7 +302,7 @@ mod tests {
             keys,
             clock.clone(),
             Granularity::Seconds,
-            Arc::new(UpdateArchive::new()),
+            Arc::new(UpdateArchive::new(curve)),
         );
         assert_eq!(fresh.poll().len(), recovered.poll().len());
     }
