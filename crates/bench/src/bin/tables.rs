@@ -1797,7 +1797,6 @@ fn e19() {
     let mut r = rng();
     let fx = Fixture::new(curve);
     let spk = *fx.server.public();
-    let prep_key = spk.prepare(curve);
 
     // The production fixed argument: P = sG, with a fresh second point
     // per evaluation (an epoch hash, here a random subgroup point).
@@ -1984,27 +1983,10 @@ fn e19() {
         "single prepared pairing must hold ≈2x (≥1.5x with noise), got {speed1:.2}x"
     );
 
-    // Hot paths, E15 shapes: batch_verify(64) and decrypt_bulk(16).
-    let batch64: Vec<KeyUpdate<8>> = (0..64)
-        .map(|i| {
-            fx.server
-                .issue_update(curve, &ReleaseTag::time(format!("e19/{i}")))
-        })
-        .collect();
-    let bv_gen_ms = time_ms(iters.min(10), || {
-        KeyUpdate::batch_verify(curve, &spk, &batch64, 1)
-    });
-    let bv_prep_ms = time_ms(iters.min(10), || {
-        KeyUpdate::batch_verify_prepared(curve, &prep_key, &batch64, 1)
-    });
-    let bv_gen = ops_of(&|| {
-        assert!(KeyUpdate::batch_verify(curve, &spk, &batch64, 1));
-    });
-    let bv_prep = ops_of(&|| {
-        assert!(KeyUpdate::batch_verify_prepared(
-            curve, &prep_key, &batch64, 1
-        ));
-    });
+    // Hot paths, E15 shapes: batch_verify(64) at toy64 and the
+    // paper-era mid96, and decrypt_bulk(16).
+    let (bv_gen_ms, bv_prep_ms, bv_gen, bv_prep) = batch_verify_64(curve, iters.min(10));
+    let (bv96_gen_ms, bv96_prep_ms, bv96_gen, bv96_prep) = batch_verify_64(mid96(), 3);
 
     let tag = ReleaseTag::time("e19/bulk");
     let update = fx.server.issue_update(curve, &tag);
@@ -2046,6 +2028,13 @@ fn e19() {
         format!("{} → {}", bv_gen.fp_muls, bv_prep.fp_muls),
     ]);
     row(&[
+        "batch_verify(64) mid96".into(),
+        format!("{bv96_gen_ms:.2}"),
+        format!("{bv96_prep_ms:.2}"),
+        format!("{:.2}x", bv96_gen_ms / bv96_prep_ms.max(1e-9)),
+        format!("{} → {}", bv96_gen.fp_muls, bv96_prep.fp_muls),
+    ]);
+    row(&[
         "decrypt_bulk(16)".into(),
         format!("{dec_gen_ms:.2}"),
         format!("{dec_prep_ms:.2}"),
@@ -2068,6 +2057,19 @@ fn e19() {
         bv_prep_ms <= bv_gen_ms * 1.15,
         "prepared batch_verify regressed: {bv_prep_ms:.2} ms vs {bv_gen_ms:.2} ms"
     );
+    // Cofactor folding + multi-scalar combination: the prepared batch
+    // skips per-update cofactor clearing and the 2N separate scalar
+    // muls. Counted, not timed, so the guard cannot flake.
+    assert!(
+        bv_prep.fp_muls * 4 <= bv_gen.fp_muls,
+        "prepared batch_verify must spend ≤ 1/4 of the oracle's Fp muls ({} vs {})",
+        bv_prep.fp_muls,
+        bv_gen.fp_muls
+    );
+    assert_eq!(
+        bv96_gen.pairings, bv96_prep.pairings,
+        "mid96 batch pairing budget"
+    );
     assert_eq!(
         dec_gen.pairings, dec_prep.pairings,
         "decrypt pairing budget"
@@ -2080,7 +2082,8 @@ fn e19() {
     );
     println!(
         "(guards: pairing budgets unchanged, prepared Fp muls strictly lower on every row,\n\
-         verdict-shaped 5-lane speedup {speed3:.2}x ≥ 3x, batch_verify non-regression vs E15.)\n"
+         verdict-shaped 5-lane speedup {speed3:.2}x ≥ 3x, batch_verify non-regression vs E15,\n\
+         prepared batch_verify ≤ 1/4 of the oracle's Fp muls.)\n"
     );
 
     let json = format!(
@@ -2088,12 +2091,18 @@ fn e19() {
          \"kernels\": [\n    {}\n  ],\n  \
          \"batch_verify_64\": {{\"generic_ms\": {bv_gen_ms:.4}, \"prepared_ms\": {bv_prep_ms:.4}, \
          \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}, \"pairings\": {}}},\n  \
+         \"batch_verify_64_mid96\": {{\"generic_ms\": {bv96_gen_ms:.4}, \
+         \"prepared_ms\": {bv96_prep_ms:.4}, \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}, \
+         \"pairings\": {}}},\n  \
          \"decrypt_bulk_16\": {{\"generic_ms\": {dec_gen_ms:.4}, \"prepared_ms\": {dec_prep_ms:.4}, \
          \"generic_fp_muls_per_op\": {}, \"prepared_fp_muls_per_op\": {}}}\n}}\n",
         kernel_rows.join(",\n    "),
         bv_gen.fp_muls,
         bv_prep.fp_muls,
         bv_prep.pairings,
+        bv96_gen.fp_muls,
+        bv96_prep.fp_muls,
+        bv96_prep.pairings,
         dec_gen.fp_muls,
         dec_prep.fp_muls,
     );
@@ -2102,6 +2111,37 @@ fn e19() {
         let _ = std::fs::write(dir.join("e19.json"), &json);
         println!("artifacts: target/e19/e19.json\n");
     }
+}
+
+/// `batch_verify(64)` through the generic oracle and the prepared path
+/// on `curve`: `(generic ms, prepared ms, generic ops, prepared ops)`,
+/// ops counted single-threaded.
+fn batch_verify_64<const L: usize>(
+    curve: &Curve<L>,
+    iters: u32,
+) -> (f64, f64, tre_obs::CryptoOps, tre_obs::CryptoOps) {
+    let fx = Fixture::new(curve);
+    let spk = *fx.server.public();
+    let prep_key = spk.prepare(curve);
+    let batch: Vec<KeyUpdate<L>> = (0..64)
+        .map(|i| {
+            fx.server
+                .issue_update(curve, &ReleaseTag::time(format!("e19/{i}")))
+        })
+        .collect();
+    let gen_ms = time_ms(iters, || KeyUpdate::batch_verify(curve, &spk, &batch, 1));
+    let prep_ms = time_ms(iters, || {
+        KeyUpdate::batch_verify_prepared(curve, &prep_key, &batch, 1)
+    });
+    tre_obs::enable();
+    assert!(KeyUpdate::batch_verify(curve, &spk, &batch, 1));
+    let gen = tre_obs::finish().total_ops();
+    tre_obs::enable();
+    assert!(KeyUpdate::batch_verify_prepared(
+        curve, &prep_key, &batch, 1
+    ));
+    let prep = tre_obs::finish().total_ops();
+    (gen_ms, prep_ms, gen, prep)
 }
 
 /// Raises `RLIMIT_NOFILE` toward `want` file descriptors, returning the

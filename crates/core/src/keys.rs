@@ -163,13 +163,16 @@ impl<const L: usize> ServerPublicKey<L> {
 
 /// A [`ServerPublicKey`] with its pairing and scalar-multiplication
 /// precomputation attached: prepared Miller-loop coefficients for the
-/// two fixed first arguments of every verification equation (`sG` and
-/// `−G`) plus fixed-base windowed tables for `G` and `sG`.
+/// fixed first arguments of every verification equation (`sG`, `−G`
+/// and the cofactor-folded `(h mod q)·sG`) plus fixed-base windowed
+/// tables for `G` and `sG`.
 ///
-/// Every check against a server key pairs with the *same* two points —
-/// `ê(sG, H1(T)) · ê(−G, I_T) = 1` — so a receiver that verifies a
-/// stream of epochs against one server amortizes the per-pairing
-/// point arithmetic down to zero by preparing both sides once.
+/// Every check against a server key pairs with the *same* points —
+/// `ê((h mod q)·sG, P_T) · ê(−G, I_T) = 1`, where `P_T` is the
+/// uncleared hash point with `h·P_T = H1(T)` — so a receiver that
+/// verifies a stream of epochs against one server amortizes the
+/// per-pairing point arithmetic down to zero by preparing both sides
+/// once, and skips cofactor clearing on every update (DESIGN.md §10).
 ///
 /// Built by [`ServerPublicKey::prepare`]; consumed by
 /// [`KeyUpdate::verify_prepared`], the prepared batch verifiers, and
@@ -179,6 +182,7 @@ impl<const L: usize> ServerPublicKey<L> {
 pub struct PreparedServerKey<const L: usize> {
     key: ServerPublicKey<L>,
     s_g_prep: MillerPrecomp<L>,
+    folded_s_g_prep: MillerPrecomp<L>,
     neg_g_prep: MillerPrecomp<L>,
     g_table: G1Precomp<L>,
     s_g_table: G1Precomp<L>,
@@ -194,6 +198,7 @@ impl<const L: usize> ServerPublicKey<L> {
         PreparedServerKey {
             key: *self,
             s_g_prep: curve.prepare(&self.s_g),
+            folded_s_g_prep: curve.prepare(&curve.g1_mul(&self.s_g, curve.cofactor_mod_q())),
             neg_g_prep: curve.prepare(&curve.g1_neg(&self.g)),
             g_table: G1Precomp::new(curve, &self.g),
             s_g_table: G1Precomp::new(curve, &self.s_g),
@@ -389,13 +394,14 @@ impl<const L: usize> KeyUpdate<L> {
     }
 
     /// [`KeyUpdate::verify`] against a [`PreparedServerKey`]: both lanes
-    /// of `ê(sG, H1(T)) · ê(−G, I_T) = 1` replay prepared coefficients,
-    /// sharing one squaring chain and final exponentiation — no Miller
-    /// point arithmetic at all.
+    /// of `ê((h mod q)·sG, P_T) · ê(−G, I_T) = 1` replay prepared
+    /// coefficients, sharing one squaring chain and final
+    /// exponentiation — no Miller point arithmetic and no cofactor
+    /// clearing (`P_T` is [`Curve::hash_to_g1_raw`]; DESIGN.md §10).
     pub fn verify_prepared(&self, curve: &Curve<L>, server: &PreparedServerKey<L>) -> bool {
         let _span = tre_obs::span("tre.verify");
-        let h = curve.hash_to_g1(self.tag.h1_domain(), self.tag.value());
-        curve.bls_verify_one_prepared(server.neg_g_prep(), server.s_g_prep(), &h, &self.sig)
+        let p = curve.hash_to_g1_raw(self.tag.h1_domain(), self.tag.value());
+        curve.bls_verify_one_prepared(server.neg_g_prep(), &server.folded_s_g_prep, &p, &self.sig)
     }
 
     /// Canonical body encoding `tag ‖ sig` (compressed point), appended
@@ -445,17 +451,19 @@ impl<const L: usize> KeyUpdate<L> {
         HmacDrbg::new(&h.finalize(), BATCH_DRBG_DOMAIN)
     }
 
-    /// Hashes every tag to its curve point `H1(T_i)` — the data-parallel
-    /// half of batch verification — fanning out over `threads` workers
-    /// ([`tre_par::par_map`]; `0` = auto, `1` = inline). Results are in
-    /// input order regardless of thread count.
+    /// Hashes every tag to its curve point with `h1` (`H1(T_i)` itself,
+    /// or the uncleared point the prepared path pairs with) — the
+    /// data-parallel half of batch verification — fanning out over
+    /// `threads` workers ([`tre_par::par_map`]; `0` = auto, `1` =
+    /// inline). Results are in input order regardless of thread count.
     fn batch_entries(
         curve: &Curve<L>,
         updates: &[Self],
         threads: usize,
+        h1: fn(&Curve<L>, &[u8], &[u8]) -> G1Affine<L>,
     ) -> Vec<(G1Affine<L>, G1Affine<L>)> {
         tre_par::par_map(updates, threads, |u| {
-            (curve.hash_to_g1(u.tag.h1_domain(), u.tag.value()), u.sig)
+            (h1(curve, u.tag.h1_domain(), u.tag.value()), u.sig)
         })
     }
 
@@ -479,7 +487,7 @@ impl<const L: usize> KeyUpdate<L> {
         threads: usize,
     ) -> bool {
         let _span = tre_obs::span("tre.batch_verify");
-        let entries = Self::batch_entries(curve, updates, threads);
+        let entries = Self::batch_entries(curve, updates, threads, Curve::hash_to_g1);
         let mut rng = Self::batch_drbg(curve, server, updates);
         curve.bls_batch_verify(server.g(), server.s_g(), &entries, &mut rng)
     }
@@ -495,14 +503,16 @@ impl<const L: usize> KeyUpdate<L> {
         threads: usize,
     ) -> Result<(), Vec<usize>> {
         let _span = tre_obs::span("tre.batch_verify");
-        let entries = Self::batch_entries(curve, updates, threads);
+        let entries = Self::batch_entries(curve, updates, threads, Curve::hash_to_g1);
         let mut rng = Self::batch_drbg(curve, server, updates);
         curve.bls_batch_isolate(server.g(), server.s_g(), &entries, &mut rng)
     }
 
     /// [`KeyUpdate::batch_verify`] against a [`PreparedServerKey`]: the
-    /// same derandomized small-exponent test, with the two combined
-    /// pairing lanes replaying the key's prepared Miller coefficients.
+    /// same derandomized small-exponent test (same exponent stream), on
+    /// uncleared hash points combined by multi-scalar multiplication,
+    /// with the two pairing lanes replaying the key's prepared
+    /// cofactor-folded coefficients (DESIGN.md §10).
     pub fn batch_verify_prepared(
         curve: &Curve<L>,
         server: &PreparedServerKey<L>,
@@ -510,9 +520,14 @@ impl<const L: usize> KeyUpdate<L> {
         threads: usize,
     ) -> bool {
         let _span = tre_obs::span("tre.batch_verify");
-        let entries = Self::batch_entries(curve, updates, threads);
+        let entries = Self::batch_entries(curve, updates, threads, Curve::hash_to_g1_raw);
         let mut rng = Self::batch_drbg(curve, server.key(), updates);
-        curve.bls_batch_verify_prepared(server.neg_g_prep(), server.s_g_prep(), &entries, &mut rng)
+        curve.bls_batch_verify_prepared(
+            server.neg_g_prep(),
+            &server.folded_s_g_prep,
+            &entries,
+            &mut rng,
+        )
     }
 
     /// [`KeyUpdate::batch_verify_isolate`] against a
@@ -525,9 +540,14 @@ impl<const L: usize> KeyUpdate<L> {
         threads: usize,
     ) -> Result<(), Vec<usize>> {
         let _span = tre_obs::span("tre.batch_verify");
-        let entries = Self::batch_entries(curve, updates, threads);
+        let entries = Self::batch_entries(curve, updates, threads, Curve::hash_to_g1_raw);
         let mut rng = Self::batch_drbg(curve, server.key(), updates);
-        curve.bls_batch_isolate_prepared(server.neg_g_prep(), server.s_g_prep(), &entries, &mut rng)
+        curve.bls_batch_isolate_prepared(
+            server.neg_g_prep(),
+            &server.folded_s_g_prep,
+            &entries,
+            &mut rng,
+        )
     }
 }
 

@@ -94,8 +94,14 @@ impl<const L: usize> Curve<L> {
     }
 
     /// [`Curve::bls_batch_verify`] with prepared fixed sides. The
-    /// small-exponent combination is unchanged (the combined points vary
-    /// per batch); only the final 2-lane pairing check runs prepared.
+    /// small-exponent combination draws the same exponents in the same
+    /// order as the generic loop, but forms `Σ eᵢ·Hᵢ` and `Σ eᵢ·Iᵢ` as
+    /// two multi-scalar multiplications sharing one doubling chain each;
+    /// the final 2-lane pairing check runs prepared.
+    ///
+    /// The entries' message points need not lie in the order-`q`
+    /// subgroup: with `pk_prep` prepared for `(h mod q)·sG`, raw
+    /// try-and-increment points verify the same equation (DESIGN.md §10).
     pub fn bls_batch_verify_prepared(
         &self,
         neg_g_prep: &MillerPrecomp<L>,
@@ -107,13 +113,9 @@ impl<const L: usize> Curve<L> {
             [] => true,
             [(h, sig)] => self.bls_verify_one_prepared(neg_g_prep, pk_prep, h, sig),
             _ => {
-                let mut p = G1Affine::infinity(self.fp());
-                let mut s = G1Affine::infinity(self.fp());
-                for (h, sig) in entries {
-                    let e = U256::from_u64(rng.next_u64().max(1));
-                    p = self.g1_add(&p, &self.g1_mul(h, &e));
-                    s = self.g1_add(&s, &self.g1_mul(sig, &e));
-                }
+                let es: Vec<u64> = entries.iter().map(|_| rng.next_u64().max(1)).collect();
+                let p = self.g1_msm_u64(entries.iter().map(|(h, _)| h).zip(es.iter().copied()));
+                let s = self.g1_msm_u64(entries.iter().map(|(_, sig)| sig).zip(es.iter().copied()));
                 self.bls_verify_one_prepared(neg_g_prep, pk_prep, &p, &s)
             }
         }

@@ -95,6 +95,7 @@ pub struct Curve<const L: usize> {
     q: U256,
     scalar: MontyParams<4>,
     cofactor: Uint<L>,
+    cofactor_mod_q: U256,
     gen: G1Affine<L>,
     name: &'static str,
 }
@@ -102,8 +103,8 @@ pub struct Curve<const L: usize> {
 impl<const L: usize> Curve<L> {
     /// Assembles a curve context from raw parameters.
     ///
-    /// Checks: `p ≡ 3 (mod 4)`, `q` odd, `q | p + 1`, the generator is on
-    /// the curve and has order exactly `q`.
+    /// Checks: `p ≡ 3 (mod 4)`, `q` odd, `q | p + 1` but `q² ∤ p + 1`,
+    /// the generator is on the curve and has order exactly `q`.
     ///
     /// # Panics
     /// Panics if any validation fails — parameters are compile-time
@@ -117,6 +118,11 @@ impl<const L: usize> Curve<L> {
         let p1 = p.checked_add(&Uint::ONE).expect("p+1 overflow");
         let (cof, rem) = p1.div_rem(&q.resize::<L>());
         assert!(rem.is_zero(), "q must divide p+1");
+        let cofactor_mod_q = cof
+            .rem(&q.resize::<L>())
+            .try_narrow::<4>()
+            .expect("h mod q < q fits 256 bits");
+        assert!(!cofactor_mod_q.is_zero(), "q² must not divide p+1");
         let gen = G1Affine {
             x: fp.from_uint(&gen_x),
             y: fp.from_uint(&gen_y),
@@ -127,6 +133,7 @@ impl<const L: usize> Curve<L> {
             q,
             scalar,
             cofactor: cof,
+            cofactor_mod_q,
             gen,
             name,
         };
@@ -160,6 +167,14 @@ impl<const L: usize> Curve<L> {
     #[inline]
     pub fn cofactor(&self) -> &Uint<L> {
         &self.cofactor
+    }
+
+    /// `h mod q`, non-zero by construction: for `P` of order `q`,
+    /// `(h mod q)·P = h·P`, so verifiers can fold the cofactor into a
+    /// fixed pairing argument (DESIGN.md §10).
+    #[inline]
+    pub fn cofactor_mod_q(&self) -> &U256 {
+        &self.cofactor_mod_q
     }
 
     /// The subgroup generator `G`.
@@ -279,16 +294,11 @@ impl<const L: usize> Curve<L> {
             return G1Affine::infinity(ctx);
         }
         // Precompute [1P, 3P, 5P, …, 15P].
-        let table = self.odd_multiples(p);
+        let table = self.batch_normalize(&self.odd_multiples(p));
         let digits = wnaf_digits(k, 4);
         let mut acc = G1Jac::infinity(ctx);
         for &d in digits.iter().rev() {
-            acc = self.jac_double(&acc);
-            if d > 0 {
-                acc = self.jac_add_affine(&acc, &table[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                acc = self.jac_add_affine(&acc, &self.g1_neg(&table[((-d) as usize - 1) / 2]));
-            }
+            acc = self.add_wnaf_digit(&self.jac_double(&acc), &table, d);
         }
         self.jac_to_affine(&acc)
     }
@@ -315,29 +325,59 @@ impl<const L: usize> Curve<L> {
         self.jac_to_affine(&acc)
     }
 
-    /// The odd multiples `[P, 3P, …, 15P]` as affine points (one shared
-    /// inversion via batch normalization).
-    fn odd_multiples(&self, p: &G1Affine<L>) -> [G1Affine<L>; 8] {
-        let two_p = {
-            let j = G1Jac {
-                x: p.x,
-                y: p.y,
-                z: self.fp.one(),
-            };
-            self.jac_double(&j)
-        };
-        let mut jacs = Vec::with_capacity(8);
-        jacs.push(G1Jac {
-            x: p.x,
-            y: p.y,
-            z: self.fp.one(),
-        });
-        for i in 1..8 {
-            let prev: G1Jac<L> = jacs[i - 1];
-            jacs.push(self.jac_add(&prev, &two_p));
+    /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` with 64-bit scalars —
+    /// interleaved (Straus) width-4 wNAF. All odd-multiple tables are
+    /// normalized to affine by one shared [`Curve::batch_normalize`], and
+    /// every term rides one doubling chain of ~64 steps, accumulated in
+    /// Jacobian coordinates: the small-exponent combination of a batch
+    /// of `N` equations costs one mixed addition per non-zero digit
+    /// instead of `N` separate scalar multiplications and affine adds.
+    pub(crate) fn g1_msm_u64<'a>(
+        &self,
+        terms: impl IntoIterator<Item = (&'a G1Affine<L>, u64)>,
+    ) -> G1Affine<L> {
+        tre_obs::record_scalar_mul();
+        let ctx = &self.fp;
+        let (points, digits): (Vec<_>, Vec<_>) = terms
+            .into_iter()
+            .filter(|(p, k)| !p.inf && *k != 0)
+            .map(|(p, k)| (p, wnaf_digits(&Uint::<2>::from_u64(k), 4)))
+            .unzip();
+        let jacs: Vec<G1Jac<L>> = points.iter().flat_map(|p| self.odd_multiples(p)).collect();
+        let tables = self.batch_normalize(&jacs);
+        let chain = digits.iter().map(Vec::len).max().unwrap_or(0);
+        let mut acc = G1Jac::infinity(ctx);
+        for i in (0..chain).rev() {
+            acc = self.jac_double(&acc);
+            for (table, d) in tables.chunks_exact(8).zip(&digits) {
+                acc = self.add_wnaf_digit(&acc, table, d.get(i).copied().unwrap_or(0));
+            }
         }
-        let normalized = self.batch_normalize(&jacs);
-        normalized.try_into().expect("eight points")
+        self.jac_to_affine(&acc)
+    }
+
+    /// `acc + d·P` for a wNAF digit `d`, given `table = [P, 3P, …, 15P]`.
+    fn add_wnaf_digit(&self, acc: &G1Jac<L>, table: &[G1Affine<L>], d: i8) -> G1Jac<L> {
+        match d {
+            0 => *acc,
+            d if d > 0 => self.jac_add_affine(acc, &table[(d as usize - 1) / 2]),
+            d => {
+                let neg = self.g1_neg(&table[(d.unsigned_abs() as usize - 1) / 2]);
+                self.jac_add_affine(acc, &neg)
+            }
+        }
+    }
+
+    /// The odd multiples `[P, 3P, …, 15P]` in Jacobian coordinates, for
+    /// the caller to batch-normalize.
+    fn odd_multiples(&self, p: &G1Affine<L>) -> [G1Jac<L>; 8] {
+        let p = G1Jac::from_affine(p, &self.fp);
+        let two_p = self.jac_double(&p);
+        let mut out = [p; 8];
+        for i in 1..8 {
+            out[i] = self.jac_add(&out[i - 1], &two_p);
+        }
+        out
     }
 
     /// Full Jacobian + Jacobian addition (add-2007-bl).
@@ -688,5 +728,93 @@ mod wnaf_tests {
     #[test]
     fn zero_gives_no_digits() {
         assert!(wnaf_digits(&U256::ZERO, 4).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod msm_tests {
+    use super::*;
+    use crate::params::toy64;
+
+    /// The reference: one `g1_mul` per term, summed with affine adds.
+    fn naive(curve: &Curve<8>, terms: &[(G1Affine<8>, u64)]) -> G1Affine<8> {
+        terms
+            .iter()
+            .fold(G1Affine::infinity(curve.fp()), |acc, (p, k)| {
+                curve.g1_add(&acc, &curve.g1_mul(p, &U256::from_u64(*k)))
+            })
+    }
+
+    fn check(curve: &Curve<8>, terms: &[(G1Affine<8>, u64)]) {
+        assert_eq!(
+            curve.g1_msm_u64(terms.iter().map(|(p, k)| (p, *k))),
+            naive(curve, terms),
+            "terms {terms:?}"
+        );
+    }
+
+    #[test]
+    fn msm_matches_sum_of_scalar_muls() {
+        let curve = toy64();
+        let inf = G1Affine::infinity(curve.fp());
+        let two_torsion = G1Affine {
+            x: curve.fp().zero(),
+            y: curve.fp().zero(),
+            inf: false,
+        };
+        assert!(curve.is_on_curve(&two_torsion));
+        // Subgroup points and raw (uncleared) hash points alike.
+        let p = curve.hash_to_g1(b"msm", b"p");
+        let r = curve.hash_to_g1_raw(b"msm", b"r");
+        let neg_p = curve.g1_neg(&p);
+        let big = u64::MAX;
+
+        check(curve, &[]);
+        check(curve, &[(inf, 5)]);
+        check(curve, &[(inf, big), (p, 3)]);
+        check(curve, &[(two_torsion, 1)]);
+        check(curve, &[(two_torsion, big), (two_torsion, 2), (r, 7)]);
+        check(curve, &[(p, 9), (neg_p, 9)]);
+        check(curve, &[(p, big), (neg_p, big), (r, 1)]);
+        check(curve, &[(p, 1), (p, 1), (p, 1)]);
+        check(curve, &[(r, big), (r, big)]);
+        check(curve, &[(p, 0), (r, 0)]);
+        check(curve, &[(p, 1)]);
+        check(curve, &[(r, big)]);
+        check(
+            curve,
+            &[(p, 1), (r, big), (neg_p, 2), (two_torsion, 3), (inf, 4)],
+        );
+
+        // A spread of scalars over distinct raw points.
+        let terms: Vec<_> = (0..12u64)
+            .map(|i| {
+                let pt = curve.hash_to_g1_raw(b"msm", &i.to_be_bytes());
+                (pt, i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+            })
+            .collect();
+        check(curve, &terms);
+    }
+
+    #[test]
+    fn msm_shares_one_doubling_chain() {
+        // Sixteen 64-bit terms cost well under sixteen separate scalar
+        // multiplications: one chain of ~64 doublings, one inversion
+        // for all tables and one for the result.
+        let curve = toy64();
+        let terms: Vec<_> = (0..16u64)
+            .map(|i| (curve.hash_to_g1_raw(b"msm", &i.to_be_bytes()), u64::MAX - i))
+            .collect();
+        tre_obs::enable();
+        let _ = curve.g1_msm_u64(terms.iter().map(|(p, k)| (p, *k)));
+        let msm = tre_obs::finish().total_ops().fp_muls;
+        tre_obs::enable();
+        let _ = naive(curve, &terms);
+        let loop_muls = tre_obs::finish().total_ops().fp_muls;
+        assert!(msm > 0, "fp_mul accounting must be live");
+        assert!(
+            msm * 3 < loop_muls,
+            "msm ({msm} fp muls) must cost under a third of the loop ({loop_muls})"
+        );
     }
 }

@@ -15,36 +15,50 @@ impl<const L: usize> Curve<L> {
     /// Deterministic for fixed `(domain, msg)` and uniform in the subgroup
     /// under the random-oracle model. The expected number of iterations is 2.
     pub fn hash_to_g1(&self, domain: &[u8], msg: &[u8]) -> G1Affine<L> {
+        (0u32..=u32::MAX)
+            .filter_map(|ctr| self.h1_candidate(domain, msg, ctr))
+            .map(|cand| self.g1_mul_uint(&cand, self.cofactor()))
+            .find(|cleared| !cleared.is_infinity())
+            .expect("hash-to-curve failed for 2^32 counters")
+    }
+
+    /// The first try-and-increment point of [`Curve::hash_to_g1`] with the
+    /// cofactor **not** cleared: a point of `E(F_p)` whose `h`-multiple is
+    /// `hash_to_g1(domain, msg)` (unless that multiple is the identity,
+    /// probability ~`1/q`, where `hash_to_g1` moves on to the next
+    /// counter). Verifiers fold `h` into the fixed pairing argument
+    /// instead — `ê(sG, h·P) = ê((h mod q)·sG, P)` — see DESIGN.md §10.
+    pub fn hash_to_g1_raw(&self, domain: &[u8], msg: &[u8]) -> G1Affine<L> {
+        (0u32..=u32::MAX)
+            .find_map(|ctr| self.h1_candidate(domain, msg, ctr))
+            .expect("hash-to-curve failed for 2^32 counters")
+    }
+
+    /// One try-and-increment step: the curve point with x-coordinate
+    /// derived from `XOF(domain, msg ‖ ctr)`, or `None` when that x has
+    /// no `y` on the curve.
+    fn h1_candidate(&self, domain: &[u8], msg: &[u8], ctr: u32) -> Option<G1Affine<L>> {
+        tre_obs::record_h2c_iter();
         let ctx = self.fp();
         let fp_bytes = tre_bigint::Uint::<L>::BYTES;
-        for ctr in 0u32..=u32::MAX {
-            tre_obs::record_h2c_iter();
-            let mut input = Vec::with_capacity(msg.len() + 4);
-            input.extend_from_slice(msg);
-            input.extend_from_slice(&ctr.to_be_bytes());
-            // 16 extra bytes + 1 sign byte so the mod-p reduction bias is
-            // negligible and the y-sign is independent of x.
-            let h = xof::<Sha256>(&self.h1_domain(domain), &input, fp_bytes + 17);
-            let sign_byte = h[fp_bytes + 16];
-            let x = ctx.from_be_bytes_mod(&h[..fp_bytes + 16]);
-            let rhs = x.square(ctx).mul(&x, ctx).add(&x, ctx);
-            let y = match rhs.sqrt(ctx) {
-                Some(y) => y,
-                None => continue,
-            };
-            let y = if (sign_byte & 1 == 1) != y.is_odd(ctx) {
-                y.neg(ctx)
-            } else {
-                y
-            };
-            let cand = G1Affine { x, y, inf: false };
-            debug_assert!(self.is_on_curve(&cand));
-            let cleared = self.g1_mul_uint(&cand, &self.cofactor().clone());
-            if !cleared.is_infinity() {
-                return cleared;
-            }
-        }
-        unreachable!("hash-to-curve failed for 2^32 counters")
+        let mut input = Vec::with_capacity(msg.len() + 4);
+        input.extend_from_slice(msg);
+        input.extend_from_slice(&ctr.to_be_bytes());
+        // 16 extra bytes + 1 sign byte so the mod-p reduction bias is
+        // negligible and the y-sign is independent of x.
+        let h = xof::<Sha256>(&self.h1_domain(domain), &input, fp_bytes + 17);
+        let sign_byte = h[fp_bytes + 16];
+        let x = ctx.from_be_bytes_mod(&h[..fp_bytes + 16]);
+        let rhs = x.square(ctx).mul(&x, ctx).add(&x, ctx);
+        let y = rhs.sqrt(ctx)?;
+        let y = if (sign_byte & 1 == 1) != y.is_odd(ctx) {
+            y.neg(ctx)
+        } else {
+            y
+        };
+        let cand = G1Affine { x, y, inf: false };
+        debug_assert!(self.is_on_curve(&cand));
+        Some(cand)
     }
 
     /// The paper's `H2 : G_T → {0,1}^n` — expands a pairing value into `n`
@@ -63,5 +77,46 @@ impl<const L: usize> Curve<L> {
         dom.push(b'/');
         dom.extend_from_slice(domain);
         dom
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::params::{mid96, toy64};
+
+    #[test]
+    fn cofactor_times_raw_point_is_the_cleared_hash() {
+        let curve = toy64();
+        for i in 0..64 {
+            let msg = format!("raw-{i}");
+            let raw = curve.hash_to_g1_raw(b"h2c-test", msg.as_bytes());
+            assert!(curve.is_on_curve(&raw) && !raw.is_infinity());
+            assert_eq!(
+                curve.g1_mul_uint(&raw, curve.cofactor()),
+                curve.hash_to_g1(b"h2c-test", msg.as_bytes()),
+                "message {msg}"
+            );
+        }
+        let curve = mid96();
+        for i in 0..4 {
+            let msg = format!("raw-{i}");
+            let raw = curve.hash_to_g1_raw(b"h2c-test", msg.as_bytes());
+            assert_eq!(
+                curve.g1_mul_uint(&raw, curve.cofactor()),
+                curve.hash_to_g1(b"h2c-test", msg.as_bytes()),
+                "mid96 message {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn cofactor_mod_q_acts_like_the_cofactor_on_the_subgroup() {
+        let curve = toy64();
+        let g = curve.generator();
+        assert!(!curve.cofactor_mod_q().is_zero());
+        assert_eq!(
+            curve.g1_mul(&g, curve.cofactor_mod_q()),
+            curve.g1_mul_uint(&g, curve.cofactor())
+        );
     }
 }
