@@ -1094,7 +1094,7 @@ fn e14() {
             live_updates += feed.poll(live_sub).len();
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        tred.export_into(&mut registry, "tre_tred");
+        tred.metrics().export_into(&mut registry, "tre_tred");
         tred.shutdown();
     }
 

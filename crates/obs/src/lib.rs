@@ -10,6 +10,9 @@
 //! * [`LatencyHistogram`] — power-of-two-bucketed histogram with
 //!   [`quantile`](LatencyHistogram::quantile) and
 //!   [`merge`](LatencyHistogram::merge), re-homed here from `tre-server`.
+//! * [`stats!`] — declares a stats struct and its registry export from
+//!   one field list, so every metric name is written once, as a field
+//!   name.
 //! * Span tracing — [`enable`], [`span`], [`event`], [`finish`]; a
 //!   thread-local recorder that is a no-op (one flag check) when disabled.
 //!   Lines are ordered by a logical sequence counter so seeded workloads
@@ -27,10 +30,15 @@
 
 mod hist;
 mod registry;
+mod stats;
 mod trace;
 
 pub use hist::LatencyHistogram;
 pub use registry::Registry;
+pub use stats::Metric;
+// Re-exported so `missing_docs` covers the test struct's fields.
+#[cfg(test)]
+pub use stats::tests::Declared;
 pub use trace::{
     enable, event, finish, is_enabled, record_fp_muls, record_h2c_iter, record_hash_bytes,
     record_pairings, record_scalar_mul, record_sym_bytes, span, CryptoOps, SpanGuard, SpanRecord,

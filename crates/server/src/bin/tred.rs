@@ -68,7 +68,7 @@ use tre_pairing::{toy64, Curve};
 use tre_server::{
     CollectorConfig, CommitteeFeed, Feed, FsyncPolicy, Granularity, HealthSnapshot, JournalConfig,
     SimClock, SupervisorConfig, TelemetryServer, TelemetrySnapshot, TimeServer, TraceSink, Tred,
-    TredConfig, TredStats, UpdateArchive,
+    TredConfig, UpdateArchive,
 };
 use tre_wire::Wire;
 
@@ -183,6 +183,10 @@ fn parse_args() -> Args {
     }
     if args.watch.is_some() && args.members.is_empty() {
         eprintln!("tred: --watch requires --members 1=HOST:PORT,...");
+        exit(2);
+    }
+    if args.watch.is_some() && args.telemetry.is_some() {
+        eprintln!("tred: --watch serves no telemetry; scrape the member daemons instead");
         exit(2);
     }
     args
@@ -411,22 +415,19 @@ fn run_watch(curve: &'static Curve<8>, dir: &Path, args: &Args) -> ! {
 }
 
 /// Boots the live exposition plane on `addr`: every scrape re-exports
-/// the daemon's counters (including the delivery-conservation set) and
-/// the trace sink's stage histograms into a fresh registry, so
-/// `/metrics` is always a consistent point-in-time view. Readiness
-/// means the journal — when there is one — has fsynced at least once
-/// for what it appended; an ephemeral daemon is ready on listen.
-fn start_telemetry(
-    addr: &str,
-    stats: Arc<TredStats>,
-    sink: TraceSink,
-    archive: Option<Arc<UpdateArchive<8>>>,
-) -> TelemetryServer {
+/// the daemon's one export ([`Tred::metrics`]: counters including the
+/// delivery-conservation set, subscribers, journal and segment-store
+/// counters, trace histograms) into a fresh registry, so `/metrics` is
+/// always a consistent point-in-time view. Readiness means the journal
+/// — when there is one — has fsynced at least once for what it
+/// appended; an ephemeral daemon is ready on listen.
+fn start_telemetry(addr: &str, tred: &Tred<8>) -> TelemetryServer {
+    let metrics = tred.metrics();
+    let archive = tred.archive();
     let snapshot: TelemetrySnapshot = Arc::new(move || {
         let mut registry = tre_obs::Registry::new();
-        stats.export_into(&mut registry, "tred");
-        sink.export_into(&mut registry, "tred_trace");
-        let (ready, detail) = match archive.as_ref().and_then(|a| a.journal_stats()) {
+        metrics.export_into(&mut registry, "tred");
+        let (ready, detail) = match archive.journal_stats() {
             Some(js) => (
                 js.appends == 0 || js.fsyncs > 0,
                 format!("journal appends={} fsyncs={}", js.appends, js.fsyncs),
@@ -486,14 +487,10 @@ fn main() {
                 exit(1);
             }
         };
-        let _telemetry = args.telemetry.as_ref().map(|addr| {
-            start_telemetry(
-                addr,
-                tred.stats(),
-                tred.trace_sink().expect("traced bind installs a sink"),
-                None,
-            )
-        });
+        let _telemetry = args
+            .telemetry
+            .as_ref()
+            .map(|addr| start_telemetry(addr, &tred));
         println!(
             "tred: committee member {index} listening on {}",
             tred.local_addr()
@@ -592,14 +589,10 @@ fn main() {
             exit(1);
         }
     };
-    let _telemetry = args.telemetry.as_ref().map(|addr| {
-        start_telemetry(
-            addr,
-            tred.stats(),
-            tred.trace_sink().expect("traced bind installs a sink"),
-            Some(Arc::clone(&archive)),
-        )
-    });
+    let _telemetry = args
+        .telemetry
+        .as_ref()
+        .map(|addr| start_telemetry(addr, &tred));
     println!("tred: listening on {}", tred.local_addr());
     println!(
         "tred: server public key {}",

@@ -179,15 +179,12 @@ fn main() {
     });
 
     let _telemetry = args.telemetry.as_ref().map(|addr| {
-        let export = relay.stats();
-        let serve = relay.serve_stats();
-        let sink = relay.trace_sink();
+        let metrics = relay.metrics();
+        let stats = relay.stats();
         let snapshot: TelemetrySnapshot = Arc::new(move || {
             let mut registry = tre_obs::Registry::new();
-            export.export_into(&mut registry, "trerelay");
-            serve.export_into(&mut registry, "trerelay_serve");
-            sink.export_into(&mut registry, "trerelay_trace");
-            let relayed = export.epochs_relayed.load(Ordering::Relaxed);
+            metrics.export_into(&mut registry, "trerelay");
+            let relayed = stats.epochs_relayed.load(Ordering::Relaxed);
             (
                 registry,
                 HealthSnapshot {

@@ -191,10 +191,11 @@ fn render(sources: &[Source]) -> String {
     // side, retry/resume churn on the supervised-client side. The
     // daemon and feed layers both export a `catch_up_requests`
     // counter, so the suffix sum is split by subtracting the
-    // feed-prefixed slice back out.
+    // feed-prefixed slice back out. Shown once there is catch-up
+    // traffic or a sealed archive segment to report.
     let feed_requests = c("_feed_catch_up_requests");
     let served_requests = c("_catch_up_requests").saturating_sub(feed_requests);
-    if served_requests + feed_requests + c("_catch_up_shed") > 0 {
+    if served_requests + feed_requests + c("_catch_up_shed") + c("_segments_sealed") > 0 {
         out.push_str(&format!(
             "catch-up: requests {} (clipped {})  replies {}  shed {}   archive: sealed {} segs / {} recs  resealed {}  torn-tail {}B  probes/lookup {}\n",
             served_requests,
@@ -353,6 +354,25 @@ mod tests {
             error: None,
         }];
         assert!(!render(&sources).contains("catch-up:"));
+    }
+
+    #[test]
+    fn archive_row_shows_for_a_sealed_journal_without_catch_ups() {
+        let mut registry = Registry::new();
+        registry.counter_set("tred_broadcasts", 9);
+        registry.counter_set("tred_segments_segments_sealed", 1);
+        registry.counter_set("tred_segments_records_sealed", 6);
+        let sources = [Source {
+            addr: "test".into(),
+            registry: Some(registry),
+            ready: Some(true),
+            error: None,
+        }];
+        let frame = render(&sources);
+        assert!(
+            frame.contains("sealed 1 segs / 6 recs"),
+            "archive row missing in:\n{frame}"
+        );
     }
 }
 

@@ -53,44 +53,26 @@ use crate::net::SubscriberId;
 use crate::tcp::TcpFeed;
 use crate::telemetry::TraceSink;
 
-/// Proxy counters (all monotone; readable while the proxy runs).
-#[derive(Debug, Default)]
-pub struct ProxyStats {
-    /// Client connections accepted (and bridged upstream).
-    pub connections: AtomicU64,
-    /// Bytes relayed client → server.
-    pub bytes_up: AtomicU64,
-    /// Bytes relayed server → client.
-    pub bytes_down: AtomicU64,
-    /// Chunks held back by a partition stall window.
-    pub stalled_chunks: AtomicU64,
-    /// Chunks delayed by a latency spike window.
-    pub delayed_chunks: AtomicU64,
-    /// Bytes flipped by corruption windows.
-    pub corrupted_bytes: AtomicU64,
-    /// Connections severed mid-frame by torn-frame windows.
-    pub torn_frames: AtomicU64,
-    /// Connections killed by reset events.
-    pub resets: AtomicU64,
-}
-
-impl ProxyStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        let pairs = [
-            ("connections", &self.connections),
-            ("bytes_up", &self.bytes_up),
-            ("bytes_down", &self.bytes_down),
-            ("stalled_chunks", &self.stalled_chunks),
-            ("delayed_chunks", &self.delayed_chunks),
-            ("corrupted_bytes", &self.corrupted_bytes),
-            ("torn_frames", &self.torn_frames),
-            ("resets", &self.resets),
-        ];
-        for (name, counter) in pairs {
-            registry.counter_set(&format!("{prefix}_{name}"), counter.load(Ordering::Relaxed));
-        }
+tre_obs::stats! {
+    /// Proxy counters (all monotone; readable while the proxy runs).
+    #[derive(Debug, Default)]
+    pub struct ProxyStats {
+        /// Client connections accepted (and bridged upstream).
+        pub connections: AtomicU64,
+        /// Bytes relayed client → server.
+        pub bytes_up: AtomicU64,
+        /// Bytes relayed server → client.
+        pub bytes_down: AtomicU64,
+        /// Chunks held back by a partition stall window.
+        pub stalled_chunks: AtomicU64,
+        /// Chunks delayed by a latency spike window.
+        pub delayed_chunks: AtomicU64,
+        /// Bytes flipped by corruption windows.
+        pub corrupted_bytes: AtomicU64,
+        /// Connections severed mid-frame by torn-frame windows.
+        pub torn_frames: AtomicU64,
+        /// Connections killed by reset events.
+        pub resets: AtomicU64,
     }
 }
 
@@ -416,41 +398,26 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Per-supervised-subscriber counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Dead connections detected.
-    pub disconnects_seen: u64,
-    /// Reconnect attempts (successful or not).
-    pub reconnect_attempts: u64,
-    /// Successful reconnects.
-    pub reconnects: u64,
-    /// Gap-repair catch-up requests issued after a reconnect.
-    pub gap_repairs: u64,
-    /// Supervised catch-ups re-issued after timing out or being shed.
-    pub catch_up_retries: u64,
-    /// Re-issues that resumed past already-received epochs instead of
-    /// replaying the whole range.
-    pub catch_up_resumes: u64,
-    /// `Busy` shed frames received from a saturated daemon (each delays
-    /// the next attempt by the daemon's retry hint).
-    pub busy_sheds_seen: u64,
-}
-
-impl SupervisorStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        registry.counter_set(&format!("{prefix}_disconnects_seen"), self.disconnects_seen);
-        registry.counter_set(
-            &format!("{prefix}_reconnect_attempts"),
-            self.reconnect_attempts,
-        );
-        registry.counter_set(&format!("{prefix}_reconnects"), self.reconnects);
-        registry.counter_set(&format!("{prefix}_gap_repairs"), self.gap_repairs);
-        registry.counter_set(&format!("{prefix}_catch_up_retries"), self.catch_up_retries);
-        registry.counter_set(&format!("{prefix}_catch_up_resumes"), self.catch_up_resumes);
-        registry.counter_set(&format!("{prefix}_busy_sheds_seen"), self.busy_sheds_seen);
+tre_obs::stats! {
+    /// Per-supervised-subscriber counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SupervisorStats {
+        /// Dead connections detected.
+        pub disconnects_seen: u64,
+        /// Reconnect attempts (successful or not).
+        pub reconnect_attempts: u64,
+        /// Successful reconnects.
+        pub reconnects: u64,
+        /// Gap-repair catch-up requests issued after a reconnect.
+        pub gap_repairs: u64,
+        /// Supervised catch-ups re-issued after timing out or being shed.
+        pub catch_up_retries: u64,
+        /// Re-issues that resumed past already-received epochs instead of
+        /// replaying the whole range.
+        pub catch_up_resumes: u64,
+        /// `Busy` shed frames received from a saturated daemon (each delays
+        /// the next attempt by the daemon's retry hint).
+        pub busy_sheds_seen: u64,
     }
 }
 

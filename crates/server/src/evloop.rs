@@ -500,9 +500,10 @@ impl<const L: usize> Broadcaster<L> {
         self.addr
     }
 
-    /// Live connections across all shards (post-eviction).
-    pub fn subscriber_count(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+    /// The live connection count across all shards (post-eviction),
+    /// shared with the shard threads that maintain it.
+    pub fn subscribers(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.live)
     }
 
     pub fn handle(&self) -> BroadcastHandle<L> {

@@ -124,7 +124,7 @@ pub use relay::{Relay, RelayConfig, RelayStats};
 pub use segments::{SegmentStore, SegmentStoreConfig, SegmentStoreStats};
 pub use server::{FutureEpochError, TimeServer};
 pub use sim::{ClientId, DeliveryReport, FanoutShape, RelayTreeSim, Simulation};
-pub use tcp::{CatchUpConfig, FeedStats, TcpFeed, Tred, TredConfig, TredStats};
+pub use tcp::{CatchUpConfig, DaemonMetrics, FeedStats, TcpFeed, Tred, TredConfig, TredStats};
 pub use telemetry::{
     now_ns, EpochTrace, HealthSnapshot, Stage, TelemetryServer, TelemetrySnapshot, TraceSink,
 };

@@ -39,7 +39,7 @@
 //! one hop higher still, exactly as on the root daemon.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -54,7 +54,7 @@ use crate::chaos_tcp::SupervisedFeed;
 use crate::clock::Granularity;
 use crate::evloop::{Broadcaster, ServeShared};
 use crate::feed::Feed;
-use crate::tcp::{CatchUpConfig, TredStats};
+use crate::tcp::{CatchUpConfig, DaemonMetrics, TredStats};
 use crate::telemetry::{Stage, TraceSink};
 
 /// Tuning knobs for a relay daemon.
@@ -93,39 +93,24 @@ impl Default for RelayConfig {
     }
 }
 
-/// Relay pump counters (all monotone; readable while the relay runs).
-#[derive(Debug, Default)]
-pub struct RelayStats {
-    /// Epochs verified and re-broadcast downstream.
-    pub epochs_relayed: AtomicU64,
-    /// Updates that failed self-authentication against the root key
-    /// (a Byzantine or buggy upstream) and were *not* relayed.
-    pub updates_rejected: AtomicU64,
-    /// Updates skipped as duplicates of an already-relayed epoch
-    /// (catch-up overlap, upstream failover) — never re-verified.
-    pub duplicates_skipped: AtomicU64,
-    /// Untagged updates (no epoch under the relay's granularity)
-    /// dropped: the relay cannot dedupe or archive what it cannot
-    /// index, so it refuses to forward it.
-    pub untagged_dropped: AtomicU64,
-    /// Batch-verification calls (2 pairings each when clean).
-    pub verify_batches: AtomicU64,
-}
-
-impl RelayStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        let pairs = [
-            ("epochs_relayed", &self.epochs_relayed),
-            ("updates_rejected", &self.updates_rejected),
-            ("duplicates_skipped", &self.duplicates_skipped),
-            ("untagged_dropped", &self.untagged_dropped),
-            ("verify_batches", &self.verify_batches),
-        ];
-        for (name, counter) in pairs {
-            registry.counter_set(&format!("{prefix}_{name}"), counter.load(Ordering::Relaxed));
-        }
+tre_obs::stats! {
+    /// Relay pump counters (all monotone; readable while the relay runs).
+    #[derive(Debug, Default)]
+    pub struct RelayStats {
+        /// Epochs verified and re-broadcast downstream.
+        pub epochs_relayed: AtomicU64,
+        /// Updates that failed self-authentication against the root key
+        /// (a Byzantine or buggy upstream) and were *not* relayed.
+        pub updates_rejected: AtomicU64,
+        /// Updates skipped as duplicates of an already-relayed epoch
+        /// (catch-up overlap, upstream failover) — never re-verified.
+        pub duplicates_skipped: AtomicU64,
+        /// Untagged updates (no epoch under the relay's granularity)
+        /// dropped: the relay cannot dedupe or archive what it cannot
+        /// index, so it refuses to forward it.
+        pub untagged_dropped: AtomicU64,
+        /// Batch-verification calls (2 pairings each when clean).
+        pub verify_batches: AtomicU64,
     }
 }
 
@@ -136,8 +121,8 @@ pub struct Relay<const L: usize> {
     addr: SocketAddr,
     public_key: ServerPublicKey<L>,
     shared: Arc<ServeShared<L>>,
+    subscribers: Arc<AtomicUsize>,
     stats: Arc<RelayStats>,
-    sink: TraceSink,
     broadcaster: Option<Broadcaster<L>>,
     pump_handle: Option<JoinHandle<SupervisedFeed<L>>>,
 }
@@ -194,11 +179,12 @@ impl<const L: usize> Relay<L> {
             trace: Some(sink.clone()),
             forward_origin: true,
             catch_up: config.catch_up,
-            active_catch_ups: std::sync::atomic::AtomicUsize::new(0),
+            active_catch_ups: AtomicUsize::new(0),
         });
         let broadcaster = Broadcaster::bind(addr, Arc::clone(&shared), config.shards)?;
         let local = broadcaster.local_addr();
         let handle = broadcaster.handle();
+        let subscribers = broadcaster.subscribers();
         let stats = Arc::new(RelayStats::default());
 
         let pump_handle = {
@@ -236,8 +222,8 @@ impl<const L: usize> Relay<L> {
             addr: local,
             public_key: root_pk,
             shared,
+            subscribers,
             stats,
-            sink,
             broadcaster: Some(broadcaster),
             pump_handle: Some(pump_handle),
         })
@@ -268,10 +254,7 @@ impl<const L: usize> Relay<L> {
 
     /// Current downstream subscriber count (post-eviction).
     pub fn subscriber_count(&self) -> usize {
-        self.broadcaster
-            .as_ref()
-            .map(Broadcaster::subscriber_count)
-            .unwrap_or(0)
+        self.subscribers.load(Ordering::Relaxed)
     }
 
     /// The relay's local archive of verified updates — what its own
@@ -280,25 +263,15 @@ impl<const L: usize> Relay<L> {
         Arc::clone(&self.shared.archive)
     }
 
-    /// The shared trace sink (upstream trailer context + this relay's
-    /// broadcast stamps).
-    pub fn trace_sink(&self) -> TraceSink {
-        self.sink.clone()
-    }
-
-    /// Exports pump counters (`<prefix>_*`), downstream serving
-    /// counters (`<prefix>_serve_*`), the subscriber gauge, and the
-    /// trace histograms into a shared registry.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        self.stats.export_into(registry, prefix);
-        self.shared
-            .stats
-            .export_into(registry, &format!("{prefix}_serve"));
-        registry.gauge_set(
-            &format!("{prefix}_subscribers"),
-            self.subscriber_count() as i64,
-        );
-        self.sink.export_into(registry, &format!("{prefix}_trace"));
+    /// Everything the relay exports: pump counters (`<prefix>_*`),
+    /// downstream serving counters (`<prefix>_serve_*`), the subscriber
+    /// gauge, and the trace histograms.
+    pub fn metrics(&self) -> DaemonMetrics<L> {
+        DaemonMetrics {
+            shared: Arc::clone(&self.shared),
+            subscribers: Arc::clone(&self.subscribers),
+            relay: Some(Arc::clone(&self.stats)),
+        }
     }
 
     /// Stops the upstream pump, the accept loop, and every shard;

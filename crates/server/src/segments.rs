@@ -69,58 +69,37 @@ impl Default for SegmentStoreConfig {
     }
 }
 
-/// Monotone segment-store counters (all since open).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegmentStoreStats {
-    /// Journal segments sealed into `.tres` archive segments.
-    pub segments_sealed: u64,
-    /// Seal attempts that failed (I/O error / injected fault); the
-    /// journal segment stays adoptable, so these are retried.
-    pub seal_failures: u64,
-    /// Records written into sealed archive segments.
-    pub records_sealed: u64,
-    /// Corrupt or partial `.tres` files discarded and rebuilt from
-    /// their journal segment on open.
-    pub resealed_segments: u64,
-    /// Bytes dropped off corrupt `.tres` tails that had no journal
-    /// segment left to re-seal from (intact prefix preserved).
-    pub corrupt_tail_bytes: u64,
-    /// Point lookups served.
-    pub lookups: u64,
-    /// Total probes across lookups: sparse-index binary-search steps
-    /// plus records scanned forward. The O(log n) evidence — compare
-    /// against `total_records / 2` per lookup for the linear baseline.
-    pub lookup_probes: u64,
-    /// Chunked range reads served.
-    pub range_reads: u64,
-    /// Records returned by range reads.
-    pub range_records: u64,
-    /// Read operations that failed (I/O error / injected fault).
-    pub read_failures: u64,
-    /// Archive segments deleted by compaction.
-    pub segments_dropped: u64,
-}
-
-impl SegmentStoreStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        let pairs = [
-            ("segments_sealed", self.segments_sealed),
-            ("seal_failures", self.seal_failures),
-            ("records_sealed", self.records_sealed),
-            ("resealed_segments", self.resealed_segments),
-            ("corrupt_tail_bytes", self.corrupt_tail_bytes),
-            ("lookups", self.lookups),
-            ("lookup_probes", self.lookup_probes),
-            ("range_reads", self.range_reads),
-            ("range_records", self.range_records),
-            ("read_failures", self.read_failures),
-            ("segments_dropped", self.segments_dropped),
-        ];
-        for (name, value) in pairs {
-            registry.counter_set(&format!("{prefix}_{name}"), value);
-        }
+tre_obs::stats! {
+    /// Monotone segment-store counters (all since open).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SegmentStoreStats {
+        /// Journal segments sealed into `.tres` archive segments.
+        pub segments_sealed: u64,
+        /// Seal attempts that failed (I/O error / injected fault); the
+        /// journal segment stays adoptable, so these are retried.
+        pub seal_failures: u64,
+        /// Records written into sealed archive segments.
+        pub records_sealed: u64,
+        /// Corrupt or partial `.tres` files discarded and rebuilt from
+        /// their journal segment on open.
+        pub resealed_segments: u64,
+        /// Bytes dropped off corrupt `.tres` tails that had no journal
+        /// segment left to re-seal from (intact prefix preserved).
+        pub corrupt_tail_bytes: u64,
+        /// Point lookups served.
+        pub lookups: u64,
+        /// Total probes across lookups: sparse-index binary-search steps
+        /// plus records scanned forward. The O(log n) evidence — compare
+        /// against `total_records / 2` per lookup for the linear baseline.
+        pub lookup_probes: u64,
+        /// Chunked range reads served.
+        pub range_reads: u64,
+        /// Records returned by range reads.
+        pub range_records: u64,
+        /// Read operations that failed (I/O error / injected fault).
+        pub read_failures: u64,
+        /// Archive segments deleted by compaction.
+        pub segments_dropped: u64,
     }
 }
 

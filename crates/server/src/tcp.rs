@@ -24,7 +24,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -40,6 +40,7 @@ use crate::archive::UpdateArchive;
 use crate::evloop::{Broadcaster, ServeShared};
 use crate::feed::Feed;
 use crate::net::SubscriberId;
+use crate::relay::RelayStats;
 use crate::server::TimeServer;
 use crate::telemetry::{Stage, TraceSink};
 
@@ -117,47 +118,65 @@ impl Default for TredConfig {
     }
 }
 
-/// Daemon counters (all monotone; readable while the daemon runs).
-#[derive(Debug, Default)]
-pub struct TredStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Key updates broadcast (frames encoded; one per update, not per
-    /// subscriber — the scalability invariant).
-    pub broadcasts: AtomicU64,
-    /// Per-subscriber frame offers: each broadcast frame counts once
-    /// per subscriber slot it is offered to. Every offer resolves into
-    /// exactly one of `frames_enqueued`, `evicted`, or
-    /// `frames_dropped` — the delivery-conservation identity the
-    /// telemetry endpoint is checked against.
-    pub frames_offered: AtomicU64,
-    /// Frames enqueued across all subscriber queues.
-    pub frames_enqueued: AtomicU64,
-    /// Frames actually written to a subscriber socket (deliveries).
-    pub frames_written: AtomicU64,
-    /// Frames that were enqueued but never written: left behind in the
-    /// bounded queue when its subscriber was evicted, disconnected, or
-    /// the daemon shut down.
-    pub frames_abandoned: AtomicU64,
-    /// Offers dropped because the subscriber was already closed or its
-    /// queue receiver was gone.
-    pub frames_dropped: AtomicU64,
-    /// Subscribers evicted for falling behind (outbound queue full).
-    /// Each eviction also drops exactly the frame that overflowed.
-    pub evicted: AtomicU64,
-    /// Catch-up requests served.
-    pub catch_up_requests: AtomicU64,
-    /// Archived updates replayed in catch-up responses.
-    pub catch_up_replies: AtomicU64,
-    /// Catch-up requests whose span exceeded
-    /// [`CatchUpConfig::max_span`] and were clipped.
-    pub catch_up_clipped: AtomicU64,
-    /// Catch-up requests shed with a [`Busy`] frame because
-    /// [`CatchUpConfig::max_concurrent`] replays were already in
-    /// flight.
-    pub catch_up_shed: AtomicU64,
-    /// Malformed or version-mismatched frames received.
-    pub wire_errors: AtomicU64,
+tre_obs::stats! {
+    /// Daemon counters (all monotone; readable while the daemon runs).
+    #[derive(Debug, Default)]
+    pub struct TredStats {
+        /// Connections accepted.
+        pub connections: AtomicU64,
+        /// Key updates broadcast (frames encoded; one per update, not per
+        /// subscriber — the scalability invariant).
+        pub broadcasts: AtomicU64,
+        // The four resolution counters are declared — and so read by
+        // `export_into` — before `frames_offered`. Every resolution is
+        // preceded by its offer (often on the same thread — see
+        // `offer_broadcast`), so a scrape racing the broadcast path can only
+        // under-count resolutions and never over-resolves.
+        /// Frames actually written to a subscriber socket (deliveries).
+        pub frames_written: AtomicU64,
+        /// Frames that were enqueued but never written: left behind in the
+        /// bounded queue when its subscriber was evicted, disconnected, or
+        /// the daemon shut down.
+        pub frames_abandoned: AtomicU64,
+        /// Offers dropped because the subscriber was already closed or its
+        /// queue receiver was gone.
+        pub frames_dropped: AtomicU64,
+        /// Subscribers evicted for falling behind (outbound queue full).
+        /// Each eviction also drops exactly the frame that overflowed.
+        pub evicted: AtomicU64,
+        /// Per-subscriber frame offers: each broadcast frame counts once
+        /// per subscriber slot it is offered to. Every offer resolves into
+        /// exactly one of `frames_enqueued`, `evicted`, or
+        /// `frames_dropped` — the delivery-conservation identity the
+        /// telemetry endpoint is checked against.
+        pub frames_offered: AtomicU64,
+        /// Frames enqueued across all subscriber queues.
+        pub frames_enqueued: AtomicU64,
+        /// Catch-up requests served.
+        pub catch_up_requests: AtomicU64,
+        /// Archived updates replayed in catch-up responses.
+        pub catch_up_replies: AtomicU64,
+        /// Catch-up requests whose span exceeded
+        /// [`CatchUpConfig::max_span`] and were clipped.
+        pub catch_up_clipped: AtomicU64,
+        /// Catch-up requests shed with a [`Busy`] frame because
+        /// [`CatchUpConfig::max_concurrent`] replays were already in
+        /// flight.
+        pub catch_up_shed: AtomicU64,
+        /// Malformed or version-mismatched frames received.
+        pub wire_errors: AtomicU64,
+    }
+    then |_stats, registry, prefix| {
+        // The derived gauge comes from the reads above, not a second set.
+        let in_flight = unresolved(
+            frames_offered,
+            frames_written,
+            frames_abandoned,
+            evicted,
+            frames_dropped,
+        );
+        registry.gauge_set(&format!("{prefix}_frames_in_flight"), in_flight as i64);
+    }
 }
 
 impl TredStats {
@@ -167,62 +186,20 @@ impl TredStats {
     /// frames_abandoned + evicted + frames_dropped + in_flight`;
     /// saturates at zero across the unsynchronised counter reads.
     pub fn in_flight(&self) -> u64 {
-        let offered = self.frames_offered.load(Ordering::Relaxed);
-        let resolved = self.frames_written.load(Ordering::Relaxed)
-            + self.frames_abandoned.load(Ordering::Relaxed)
-            + self.evicted.load(Ordering::Relaxed)
-            + self.frames_dropped.load(Ordering::Relaxed);
-        offered.saturating_sub(resolved)
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        unresolved(
+            load(&self.frames_offered),
+            load(&self.frames_written),
+            load(&self.frames_abandoned),
+            load(&self.evicted),
+            load(&self.frames_dropped),
+        )
     }
+}
 
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    ///
-    /// The resolution counters are read *before* `frames_offered`:
-    /// every resolution is preceded by its offer (often on the same
-    /// thread — see [`offer_frame`]), so a scrape racing the broadcast
-    /// path can only under-count resolutions. The exported snapshot
-    /// therefore never over-resolves, and its in-flight balance is
-    /// computed from the same reads rather than re-loaded.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        let written = self.frames_written.load(Ordering::Relaxed);
-        let abandoned = self.frames_abandoned.load(Ordering::Relaxed);
-        let dropped = self.frames_dropped.load(Ordering::Relaxed);
-        let evicted = self.evicted.load(Ordering::Relaxed);
-        let offered = self.frames_offered.load(Ordering::Relaxed);
-        let pairs = [
-            ("connections", self.connections.load(Ordering::Relaxed)),
-            ("broadcasts", self.broadcasts.load(Ordering::Relaxed)),
-            ("frames_offered", offered),
-            (
-                "frames_enqueued",
-                self.frames_enqueued.load(Ordering::Relaxed),
-            ),
-            ("frames_written", written),
-            ("frames_abandoned", abandoned),
-            ("frames_dropped", dropped),
-            ("evicted", evicted),
-            (
-                "catch_up_requests",
-                self.catch_up_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "catch_up_replies",
-                self.catch_up_replies.load(Ordering::Relaxed),
-            ),
-            (
-                "catch_up_clipped",
-                self.catch_up_clipped.load(Ordering::Relaxed),
-            ),
-            ("catch_up_shed", self.catch_up_shed.load(Ordering::Relaxed)),
-            ("wire_errors", self.wire_errors.load(Ordering::Relaxed)),
-        ];
-        for (name, value) in pairs {
-            registry.counter_set(&format!("{prefix}_{name}"), value);
-        }
-        let in_flight = offered.saturating_sub(written + abandoned + evicted + dropped);
-        registry.gauge_set(&format!("{prefix}_frames_in_flight"), in_flight as i64);
-    }
+/// The in-flight balance from already-loaded counter values.
+fn unresolved(offered: u64, written: u64, abandoned: u64, evicted: u64, dropped: u64) -> u64 {
+    offered.saturating_sub(written + abandoned + evicted + dropped)
 }
 
 /// A running broadcast daemon. Dropping without [`Tred::shutdown`]
@@ -232,6 +209,7 @@ pub struct Tred<const L: usize> {
     addr: SocketAddr,
     public_key: ServerPublicKey<L>,
     shared: Arc<ServeShared<L>>,
+    subscribers: Arc<AtomicUsize>,
     broadcaster: Option<Broadcaster<L>>,
     ticker_handle: Option<JoinHandle<()>>,
 }
@@ -329,11 +307,12 @@ impl<const L: usize> Tred<L> {
             trace,
             forward_origin: false,
             catch_up: config.catch_up,
-            active_catch_ups: std::sync::atomic::AtomicUsize::new(0),
+            active_catch_ups: AtomicUsize::new(0),
         });
         let broadcaster = Broadcaster::bind(addr, Arc::clone(&shared), config.shards)?;
         let local = broadcaster.local_addr();
         let handle = broadcaster.handle();
+        let subscribers = broadcaster.subscribers();
 
         let ticker_handle = {
             let shared = Arc::clone(&shared);
@@ -360,6 +339,7 @@ impl<const L: usize> Tred<L> {
             addr: local,
             public_key,
             shared,
+            subscribers,
             broadcaster: Some(broadcaster),
             ticker_handle: Some(ticker_handle),
         })
@@ -382,10 +362,7 @@ impl<const L: usize> Tred<L> {
 
     /// Current subscriber count (post-eviction), summed across shards.
     pub fn subscriber_count(&self) -> usize {
-        self.broadcaster
-            .as_ref()
-            .map(Broadcaster::subscriber_count)
-            .unwrap_or(0)
+        self.subscribers.load(Ordering::Relaxed)
     }
 
     /// The archive this daemon serves catch-ups from (durable when the
@@ -394,31 +371,14 @@ impl<const L: usize> Tred<L> {
         Arc::clone(&self.shared.archive)
     }
 
-    /// Exports the daemon's counters, the live subscriber count, and —
-    /// when the archive is journal-backed — the journal counters into a
-    /// shared registry under `<prefix>_*` names, so `tables --exp e14`
-    /// style reports cover the live daemon, not just the sim.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        self.shared.stats.export_into(registry, prefix);
-        registry.gauge_set(
-            &format!("{prefix}_subscribers"),
-            self.subscriber_count() as i64,
-        );
-        if let Some(js) = self.shared.archive.journal_stats() {
-            js.export_into(registry, &format!("{prefix}_journal"));
+    /// Everything the daemon exports, as one handle that outlives
+    /// borrows of `self` (what a telemetry endpoint captures).
+    pub fn metrics(&self) -> DaemonMetrics<L> {
+        DaemonMetrics {
+            shared: Arc::clone(&self.shared),
+            subscribers: Arc::clone(&self.subscribers),
+            relay: None,
         }
-        if let Some(ss) = self.shared.archive.segment_stats() {
-            ss.export_into(registry, &format!("{prefix}_segments"));
-        }
-        if let Some(sink) = &self.shared.trace {
-            sink.export_into(registry, &format!("{prefix}_trace"));
-        }
-    }
-
-    /// The daemon's trace sink, when bound with tracing
-    /// ([`Tred::bind_traced`] / [`Tred::bind_member_traced`]).
-    pub fn trace_sink(&self) -> Option<TraceSink> {
-        self.shared.trace.clone()
     }
 
     /// Stops the ticker, the accept loop, and every shard; closes every
@@ -434,43 +394,71 @@ impl<const L: usize> Tred<L> {
     }
 }
 
-/// Per-feed client counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FeedStats {
-    /// Key-update frames decoded.
-    pub updates_decoded: u64,
-    /// Committee key-update-share frames decoded.
-    pub shares_decoded: u64,
-    /// Raw bytes received.
-    pub bytes_received: u64,
-    /// Frames dropped for wire errors (bad magic/version/body).
-    pub wire_errors: u64,
-    /// Successful reconnects.
-    pub reconnects: u64,
-    /// Catch-up requests sent.
-    pub catch_up_requests: u64,
-    /// [`Telemetry`] trailer frames decoded.
-    pub traces_decoded: u64,
-    /// [`Busy`] shed frames received (the daemon refused a catch-up
-    /// under load and asked us to retry later).
-    pub busy_seen: u64,
+/// The one export of a serving daemon — a [`Tred`] or a
+/// [`crate::Relay`] — for in-process reports and live telemetry alike.
+/// Cheap to clone, `Send + Sync`, and reads everything live on each
+/// export.
+#[derive(Clone)]
+pub struct DaemonMetrics<const L: usize> {
+    pub(crate) shared: Arc<ServeShared<L>>,
+    pub(crate) subscribers: Arc<AtomicUsize>,
+    /// A relay's pump counters; `None` for a `tred`.
+    pub(crate) relay: Option<Arc<RelayStats>>,
 }
 
-impl FeedStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names.
+impl<const L: usize> DaemonMetrics<L> {
+    /// Publishes the daemon under `<prefix>_*` names: a relay's pump
+    /// counters (its serving counters then go under `<prefix>_serve_*`),
+    /// the serving counters, the live subscriber gauge, the journal
+    /// (`<prefix>_journal_*`) and segment-store (`<prefix>_segments_*`)
+    /// counters when the archive is durable, and the trace sink
+    /// (`<prefix>_trace_*`) when tracing.
     pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        registry.counter_set(&format!("{prefix}_updates_decoded"), self.updates_decoded);
-        registry.counter_set(&format!("{prefix}_shares_decoded"), self.shares_decoded);
-        registry.counter_set(&format!("{prefix}_bytes_received"), self.bytes_received);
-        registry.counter_set(&format!("{prefix}_wire_errors"), self.wire_errors);
-        registry.counter_set(&format!("{prefix}_reconnects"), self.reconnects);
-        registry.counter_set(
-            &format!("{prefix}_catch_up_requests"),
-            self.catch_up_requests,
+        let serve = match &self.relay {
+            Some(relay) => {
+                relay.export_into(registry, prefix);
+                format!("{prefix}_serve")
+            }
+            None => prefix.to_string(),
+        };
+        self.shared.stats.export_into(registry, &serve);
+        registry.gauge_set(
+            &format!("{prefix}_subscribers"),
+            self.subscribers.load(Ordering::Relaxed) as i64,
         );
-        registry.counter_set(&format!("{prefix}_traces_decoded"), self.traces_decoded);
-        registry.counter_set(&format!("{prefix}_busy_seen"), self.busy_seen);
+        if let Some(js) = self.shared.archive.journal_stats() {
+            js.export_into(registry, &format!("{prefix}_journal"));
+        }
+        if let Some(ss) = self.shared.archive.segment_stats() {
+            ss.export_into(registry, &format!("{prefix}_segments"));
+        }
+        if let Some(sink) = &self.shared.trace {
+            sink.export_into(registry, &format!("{prefix}_trace"));
+        }
+    }
+}
+
+tre_obs::stats! {
+    /// Per-feed client counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FeedStats {
+        /// Key-update frames decoded.
+        pub updates_decoded: u64,
+        /// Committee key-update-share frames decoded.
+        pub shares_decoded: u64,
+        /// Raw bytes received.
+        pub bytes_received: u64,
+        /// Frames dropped for wire errors (bad magic/version/body).
+        pub wire_errors: u64,
+        /// Successful reconnects.
+        pub reconnects: u64,
+        /// Catch-up requests sent.
+        pub catch_up_requests: u64,
+        /// [`Telemetry`] trailer frames decoded.
+        pub traces_decoded: u64,
+        /// [`Busy`] shed frames received (the daemon refused a catch-up
+        /// under load and asked us to retry later).
+        pub busy_seen: u64,
     }
 }
 

@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 use tre::obs::Registry;
 use tre::prelude::*;
 use tre::server::{
-    ChaosProxy, Fault, FaultPlan, HealthSnapshot, SupervisedFeed, SupervisorConfig, TcpFeed,
-    TelemetryServer, TelemetrySnapshot, TraceSink, Tred, TredConfig, TredStats,
+    ChaosProxy, DaemonMetrics, Fault, FaultPlan, HealthSnapshot, SupervisedFeed, SupervisorConfig,
+    TcpFeed, TelemetryServer, TelemetrySnapshot, TraceSink, Tred, TredConfig,
 };
 
 const DEADLINE: Duration = Duration::from_secs(30);
@@ -54,12 +54,11 @@ fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
 }
 
 /// The exposition plane a `tred --telemetry` process runs, rebuilt for
-/// the in-process rig: stats + trace sink exported on every request.
-fn serve_telemetry(stats: Arc<TredStats>, sink: TraceSink) -> TelemetryServer {
+/// the in-process rig: the daemon's one export, on every request.
+fn serve_telemetry(metrics: DaemonMetrics<8>) -> TelemetryServer {
     let snapshot: TelemetrySnapshot = Arc::new(move || {
         let mut registry = Registry::new();
-        stats.export_into(&mut registry, "tred");
-        sink.export_into(&mut registry, "tred_trace");
+        metrics.export_into(&mut registry, "tred");
         (registry, HealthSnapshot::default())
     });
     TelemetryServer::bind("127.0.0.1:0", snapshot).expect("bind exposition endpoint")
@@ -110,7 +109,7 @@ fn telemetry_endpoint_stays_consistent_during_chaos() {
     )
     .unwrap();
     let spk = *tred.public_key();
-    let telemetry = serve_telemetry(tred.stats(), sink.clone());
+    let telemetry = serve_telemetry(tred.metrics());
     let http = telemetry.local_addr().to_string();
 
     let plan = FaultPlan::new()
