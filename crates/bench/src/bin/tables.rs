@@ -2086,6 +2086,19 @@ fn e19() {
          prepared batch_verify ≤ 1/4 of the oracle's Fp muls.)\n"
     );
 
+    // The receiver's per-epoch kernels: what one recovered epoch pays
+    // for beyond the batch (E19 signed-digit rows).
+    header(&[
+        "curve",
+        "kernel",
+        "ms/op",
+        "Fp muls/op",
+        "h2c candidates/op",
+    ]);
+    let mut receiver_rows = receiver_kernels(curve, iters);
+    receiver_rows.extend(receiver_kernels(mid96(), iters.min(10)));
+    println!();
+
     let json = format!(
         "{{\n  \"experiment\": \"e19\",\n  \"quick\": {quick},\n  \"iters\": {iters},\n  \
          \"kernels\": [\n    {}\n  ],\n  \
@@ -2095,7 +2108,8 @@ fn e19() {
          \"prepared_ms\": {bv96_prep_ms:.4}, \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}, \
          \"pairings\": {}}},\n  \
          \"decrypt_bulk_16\": {{\"generic_ms\": {dec_gen_ms:.4}, \"prepared_ms\": {dec_prep_ms:.4}, \
-         \"generic_fp_muls_per_op\": {}, \"prepared_fp_muls_per_op\": {}}}\n}}\n",
+         \"generic_fp_muls_per_op\": {}, \"prepared_fp_muls_per_op\": {}}},\n  \
+         \"receiver_kernels\": [\n    {}\n  ]\n}}\n",
         kernel_rows.join(",\n    "),
         bv_gen.fp_muls,
         bv_prep.fp_muls,
@@ -2105,12 +2119,66 @@ fn e19() {
         bv96_prep.pairings,
         dec_gen.fp_muls,
         dec_prep.fp_muls,
+        receiver_rows.join(",\n    "),
     );
     let dir = std::path::Path::new("target/e19");
     if std::fs::create_dir_all(dir).is_ok() {
         let _ = std::fs::write(dir.join("e19.json"), &json);
         println!("artifacts: target/e19/e19.json\n");
     }
+}
+
+/// One generic pairing, `prepare`, one prepared pairing and
+/// `hash_to_g1_raw` on `curve`: prints a table row per kernel (wall ms,
+/// `Fp` muls and hash-to-curve candidates per op, ops counted on a fixed
+/// input set) and returns the rows as JSON objects.
+fn receiver_kernels<const L: usize>(curve: &Curve<L>, iters: u32) -> Vec<String> {
+    let mut r = rng();
+    let g = curve.generator();
+    let p = curve.g1_mul(&g, &curve.random_scalar(&mut r));
+    let q = curve.g1_mul(&g, &curve.random_scalar(&mut r));
+    let prep = curve.prepare(&p);
+    // Candidates vary per tag (about 2 expected): average over
+    // a fixed set of 32 tags.
+    let tags: Vec<Vec<u8>> = (0..32u32).map(|i| i.to_be_bytes().to_vec()).collect();
+    let h2c = |i: usize| curve.hash_to_g1_raw(b"e19/h2c", &tags[i % tags.len()]);
+    let mut out = Vec::new();
+    let mut measure = |name: &str, per: usize, run: &dyn Fn(usize)| {
+        let mut i = 0;
+        let ms = time_ms(iters * per as u32, || {
+            run(i);
+            i += 1;
+        });
+        tre_obs::enable();
+        (0..per).for_each(run);
+        let ops = tre_obs::finish().total_ops();
+        let (muls, cands) = (ops.fp_muls / per as u64, ops.h2c_iters as f64 / per as f64);
+        row(&[
+            curve.name().into(),
+            name.into(),
+            format!("{ms:.3}"),
+            muls.to_string(),
+            format!("{cands:.3}"),
+        ]);
+        out.push(format!(
+            "{{\"curve\": \"{}\", \"kernel\": \"{name}\", \"ms\": {ms:.4}, \
+             \"fp_muls\": {muls}, \"h2c_candidates\": {cands:.3}}}",
+            curve.name()
+        ));
+    };
+    measure("pairing", 1, &|_| {
+        std::hint::black_box(curve.pairing(&p, &q));
+    });
+    measure("prepare", 1, &|_| {
+        std::hint::black_box(curve.prepare(&p));
+    });
+    measure("pairing_prepared", 1, &|_| {
+        std::hint::black_box(curve.pairing_prepared(&prep, &q));
+    });
+    measure("hash_to_g1_raw", tags.len(), &|i| {
+        std::hint::black_box(h2c(i));
+    });
+    out
 }
 
 /// `batch_verify(64)` through the generic oracle and the prepared path

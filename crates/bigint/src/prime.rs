@@ -116,26 +116,34 @@ pub fn gen_prime<const L: usize>(bits: u32, rng: &mut (impl RngCore + ?Sized)) -
 
 /// Jacobi symbol `(a/n)` for odd positive `n`; returns −1, 0 or 1.
 ///
+/// Binary (shift-and-subtract) algorithm: strip the twos of `a` with the
+/// `(2/n)` rule, swap by quadratic reciprocity when `a < n`, subtract.
+/// No division, so a full-width symbol costs about as much as a handful
+/// of field multiplications — cheap enough to screen hash-to-curve
+/// candidates before a square-root exponentiation.
+///
 /// # Panics
 /// Panics if `n` is even or zero.
 pub fn jacobi<const L: usize>(a: &Uint<L>, n: &Uint<L>) -> i32 {
     assert!(n.is_odd() && !n.is_zero(), "jacobi requires odd n");
-    let mut a = a.rem(n);
+    let mut a = *a;
     let mut n = *n;
     let mut t = 1i32;
     while !a.is_zero() {
-        while a.is_even() {
-            a = a.shr1();
-            let r = n.limbs()[0] & 7;
-            if r == 3 || r == 5 {
+        let tz = trailing_zeros(&a);
+        a = a.shr_vartime(tz);
+        let r = n.limbs()[0] & 7;
+        if tz % 2 == 1 && (r == 3 || r == 5) {
+            t = -t;
+        }
+        // Both odd: (a/n) = (a − n / n), and reciprocity for a < n.
+        if a < n {
+            core::mem::swap(&mut a, &mut n);
+            if a.limbs()[0] & 3 == 3 && n.limbs()[0] & 3 == 3 {
                 t = -t;
             }
         }
-        core::mem::swap(&mut a, &mut n);
-        if (a.limbs()[0] & 3 == 3) && (n.limbs()[0] & 3 == 3) {
-            t = -t;
-        }
-        a = a.rem(&n);
+        a = a.wrapping_sub(&n);
     }
     if n == Uint::ONE {
         t
@@ -244,6 +252,55 @@ mod tests {
             let euler = ctx.pow_plain(&a, &e);
             let expect = if euler == U256::ONE { 1 } else { -1 };
             assert_eq!(jacobi(&a, &p), expect);
+        }
+    }
+
+    #[test]
+    fn binary_jacobi_matches_euler_full_width() {
+        // Euler's criterion a^((p−1)/2) at a full-width prime, for reduced
+        // and unreduced inputs alike (the binary loop never divides).
+        let mut rng = rand::thread_rng();
+        let p =
+            U256::from_be_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
+                .unwrap();
+        let ctx = MontyParams::new(p).unwrap();
+        let e = p.wrapping_sub(&U256::ONE).shr1();
+        let euler = |a: &U256| {
+            if ctx.pow_plain(a, &e) == U256::ONE {
+                1
+            } else {
+                -1
+            }
+        };
+        let mut seen = [0usize; 2];
+        for _ in 0..200 {
+            let a = U256::random_below(&mut rng, &p);
+            if a.is_zero() {
+                continue;
+            }
+            let expect = euler(&a);
+            assert_eq!(jacobi(&a, &p), expect, "a={a:?}");
+            seen[(expect == 1) as usize] += 1;
+            let small = U256::from_u64(u64::from(rng.next_u32() | 1));
+            let unreduced = small.checked_add(&p).expect("p + 2^32 fits 256 bits");
+            assert_eq!(jacobi(&unreduced, &p), euler(&small), "a={small:?} + p");
+        }
+        assert!(seen[0] > 0 && seen[1] > 0, "both residues and non-residues");
+        assert_eq!(jacobi(&U256::ZERO, &p), 0);
+        assert_eq!(jacobi(&p, &p), 0);
+        assert_eq!(jacobi(&U256::ONE, &U256::ONE), 1);
+        // A composite modulus: (a/15) = (a/3)(a/5).
+        let n = U256::from_u64(15);
+        for (a, expect) in [
+            (1u64, 1),
+            (2, 1),
+            (4, 1),
+            (7, -1),
+            (3, 0),
+            (10, 0),
+            (14, -1),
+        ] {
+            assert_eq!(jacobi(&U256::from_u64(a), &n), expect, "a={a}");
         }
     }
 

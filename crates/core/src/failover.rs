@@ -99,9 +99,9 @@ pub fn sanitize_updates<const L: usize>(
 /// coefficients. Bilinearity shifts the batching exponent onto the
 /// update — `ê(−e_i·G_i, I_i) = ê(−G_i, e_i·I_i)` — so each server's
 /// fixed `−G_i` stays the prepared first argument, and the
-/// `Σ e_i·s_iG_i` lane accumulates through the keys' cached fixed-base
-/// tables. A client riding out faults epoch after epoch prepares its N
-/// server keys once.
+/// `Σ e_i·s_iG_i` lane is one interleaved multi-scalar multiplication
+/// over the 64-bit exponents. A client riding out faults epoch after
+/// epoch prepares its N server keys once.
 pub fn sanitize_updates_prepared<const L: usize>(
     curve: &Curve<L>,
     servers: &[PreparedServerKey<L>],
@@ -180,7 +180,7 @@ fn verdict_exponents<const L: usize>(
     servers: &[ServerPublicKey<L>],
     updates: &[Option<KeyUpdate<L>>],
     candidates: &[usize],
-) -> Vec<U256> {
+) -> Vec<u64> {
     let mut h = Sha256::new();
     h.update(VERDICT_DRBG_DOMAIN);
     let mut buf = Vec::new();
@@ -194,9 +194,9 @@ fn verdict_exponents<const L: usize>(
         h.update(&buf);
     }
     let mut drbg = HmacDrbg::new(&h.finalize(), VERDICT_DRBG_DOMAIN);
-    let mut e = vec![U256::ZERO; updates.len()];
+    let mut e = vec![0; updates.len()];
     for &i in candidates {
-        e[i] = U256::from_u64(drbg.next_u64().max(1));
+        e[i] = drbg.next_u64().max(1);
     }
     e
 }
@@ -208,7 +208,7 @@ fn verdicts_hold<const L: usize>(
     servers: &[ServerPublicKey<L>],
     updates: &[Option<KeyUpdate<L>>],
     h: &G1Affine<L>,
-    e: &[U256],
+    e: &[u64],
     idxs: &[usize],
 ) -> bool {
     if let [i] = idxs {
@@ -220,23 +220,24 @@ fn verdicts_hold<const L: usize>(
     lanes.push((lhs, *h)); // placeholder; lhs accumulates below
     for &i in idxs {
         let u = updates[i].as_ref().expect("candidate present");
-        lhs = curve.g1_add(&lhs, &curve.g1_mul(servers[i].s_g(), &e[i]));
-        lanes.push((curve.g1_neg(&curve.g1_mul(servers[i].g(), &e[i])), *u.sig()));
+        let ei = U256::from_u64(e[i]);
+        lhs = curve.g1_add(&lhs, &curve.g1_mul(servers[i].s_g(), &ei));
+        lanes.push((curve.g1_neg(&curve.g1_mul(servers[i].g(), &ei)), *u.sig()));
     }
     lanes[0] = (lhs, *h);
     curve.multi_pairing(&lanes).is_one(curve)
 }
 
 /// [`verdicts_hold`] off prepared keys: per-server `(−G_i, e_i·I_i)`
-/// lanes replay prepared coefficients, the `Σ e_i·s_iG_i` lane runs
-/// off the cached `s_iG` tables, and one squaring chain plus one final
+/// lanes replay prepared coefficients, the `Σ e_i·s_iG_i` lane is one
+/// multi-scalar multiplication, and one squaring chain plus one final
 /// exponentiation is shared by all `N + 1` lanes.
 fn verdicts_hold_prepared<const L: usize>(
     curve: &Curve<L>,
     servers: &[PreparedServerKey<L>],
     updates: &[Option<KeyUpdate<L>>],
     h: &G1Affine<L>,
-    e: &[U256],
+    e: &[u64],
     idxs: &[usize],
 ) -> bool {
     if let [i] = idxs {
@@ -244,14 +245,15 @@ fn verdicts_hold_prepared<const L: usize>(
         let p = &servers[*i];
         return curve.bls_verify_one_prepared(p.neg_g_prep(), p.s_g_prep(), h, u.sig());
     }
-    let mut lhs = G1Affine::infinity(curve.fp());
-    let mut lanes = Vec::with_capacity(idxs.len());
-    for &i in idxs {
-        let u = updates[i].as_ref().expect("candidate present");
-        let p = &servers[i];
-        lhs = curve.g1_add(&lhs, &p.s_g_table().mul(curve, &e[i]));
-        lanes.push((p.neg_g_prep(), curve.g1_mul(u.sig(), &e[i])));
-    }
+    let lhs = curve.g1_msm_u64(idxs.iter().map(|&i| (servers[i].key().s_g(), e[i])));
+    let lanes: Vec<_> = idxs
+        .iter()
+        .map(|&i| {
+            let u = updates[i].as_ref().expect("candidate present");
+            let sig = curve.g1_mul(u.sig(), &U256::from_u64(e[i]));
+            (servers[i].neg_g_prep(), sig)
+        })
+        .collect();
     curve
         .multi_pairing_mixed(&lanes, &[(lhs, *h)])
         .is_one(curve)

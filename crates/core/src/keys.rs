@@ -1,7 +1,7 @@
 //! Key material: time-server keys, user keys, and the self-authenticating
 //! time-bound key update `I_T = s·H1(T)` (§5.1 of the paper).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use rand::RngCore;
 use tre_bigint::U256;
@@ -161,11 +161,10 @@ impl<const L: usize> ServerPublicKey<L> {
     }
 }
 
-/// A [`ServerPublicKey`] with its pairing and scalar-multiplication
-/// precomputation attached: prepared Miller-loop coefficients for the
-/// fixed first arguments of every verification equation (`sG`, `−G`
-/// and the cofactor-folded `(h mod q)·sG`) plus fixed-base windowed
-/// tables for `G` and `sG`.
+/// A [`ServerPublicKey`] with its pairing precomputation attached:
+/// prepared Miller-loop coefficients for the fixed first arguments of
+/// every verification equation (`sG`, `−G` and the cofactor-folded
+/// `(h mod q)·sG`), plus a fixed-base table for `G` built on first use.
 ///
 /// Every check against a server key pairs with the *same* points —
 /// `ê((h mod q)·sG, P_T) · ê(−G, I_T) = 1`, where `P_T` is the
@@ -177,22 +176,22 @@ impl<const L: usize> ServerPublicKey<L> {
 /// Built by [`ServerPublicKey::prepare`]; consumed by
 /// [`KeyUpdate::verify_prepared`], the prepared batch verifiers, and
 /// [`SenderPrecomp::with_server`] (which reuses the `G` table instead
-/// of rebuilding it per receiver).
+/// of rebuilding it per receiver). Verifiers never touch the table, so
+/// only a key that encrypts pays for it.
 #[derive(Clone, Debug)]
 pub struct PreparedServerKey<const L: usize> {
     key: ServerPublicKey<L>,
     s_g_prep: MillerPrecomp<L>,
     folded_s_g_prep: MillerPrecomp<L>,
     neg_g_prep: MillerPrecomp<L>,
-    g_table: G1Precomp<L>,
-    s_g_table: G1Precomp<L>,
+    g_table: OnceLock<G1Precomp<L>>,
 }
 
 impl<const L: usize> ServerPublicKey<L> {
-    /// Precomputes the prepared Miller coefficients and fixed-base
-    /// tables for this key. One-time cost roughly comparable to two
-    /// pairings; every subsequent prepared verification skips all
-    /// Miller-loop point arithmetic on both lanes.
+    /// Precomputes the prepared Miller coefficients for this key: three
+    /// preparations and one scalar multiplication, a one-time cost of
+    /// two to three generic pairings. Every subsequent prepared
+    /// verification skips all Miller-loop point arithmetic on both lanes.
     pub fn prepare(&self, curve: &Curve<L>) -> PreparedServerKey<L> {
         let _span = tre_obs::span("tre.prepare_server_key");
         PreparedServerKey {
@@ -200,8 +199,7 @@ impl<const L: usize> ServerPublicKey<L> {
             s_g_prep: curve.prepare(&self.s_g),
             folded_s_g_prep: curve.prepare(&curve.g1_mul(&self.s_g, curve.cofactor_mod_q())),
             neg_g_prep: curve.prepare(&curve.g1_neg(&self.g)),
-            g_table: G1Precomp::new(curve, &self.g),
-            s_g_table: G1Precomp::new(curve, &self.s_g),
+            g_table: OnceLock::new(),
         }
     }
 }
@@ -222,15 +220,11 @@ impl<const L: usize> PreparedServerKey<L> {
         &self.neg_g_prep
     }
 
-    /// Fixed-base table for the generator `G`.
-    pub fn g_table(&self) -> &G1Precomp<L> {
-        &self.g_table
-    }
-
-    /// Fixed-base table for `sG` (e.g. the `Σ e_i·s_iG` lane of batched
-    /// verdicts, where the 64-bit exponents walk only 16 windows).
-    pub fn s_g_table(&self) -> &G1Precomp<L> {
-        &self.s_g_table
+    /// Fixed-base table for the generator `G`, built on the first call
+    /// and shared by every later one (and by clones made after it).
+    pub fn g_table(&self, curve: &Curve<L>) -> &G1Precomp<L> {
+        self.g_table
+            .get_or_init(|| G1Precomp::new(curve, &self.key.g))
     }
 }
 
@@ -627,7 +621,7 @@ impl<const L: usize> SenderPrecomp<L> {
         Ok(Self {
             server: *server.key(),
             user: *user,
-            g_table: server.g_table().clone(),
+            g_table: server.g_table(curve).clone(),
             a_s_g_table: G1Precomp::new(curve, user.a_s_g()),
             tag_memo: Mutex::new(None),
         })
@@ -978,10 +972,22 @@ mod tests {
         let fresh = SenderPrecomp::new(curve, server.public(), user.public()).unwrap();
         let cost_fresh = tre_obs::finish().total_ops().fp_muls;
 
+        // Verifiers never build the G table; the first sender does, once.
+        assert!(prepared.g_table.get().is_none(), "prepare builds no table");
+        tre_obs::enable();
+        let _first = SenderPrecomp::with_server(curve, &prepared, user.public()).unwrap();
+        let cost_first = tre_obs::finish().total_ops().fp_muls;
+        assert!(prepared.g_table.get().is_some());
+
         tre_obs::enable();
         let reused = SenderPrecomp::with_server(curve, &prepared, user.public()).unwrap();
         let cost_reused = tre_obs::finish().total_ops().fp_muls;
 
+        assert!(
+            cost_reused < cost_first,
+            "the second sender ({cost_reused} fp muls) reuses the G table the \
+             first one built ({cost_first} fp muls)"
+        );
         assert!(
             cost_reused < cost_fresh,
             "reusing the prepared G table ({cost_reused} fp muls) must beat \

@@ -96,6 +96,12 @@ pub struct Curve<const L: usize> {
     scalar: MontyParams<4>,
     cofactor: Uint<L>,
     cofactor_mod_q: U256,
+    /// The NAF of `q` below its leading 1, most significant digit first:
+    /// the Miller loop's doubling-and-addition schedule.
+    pub(crate) miller_digits: Vec<i8>,
+    /// The width-5 signed digits of the cofactor `(p+1)/q`, most
+    /// significant first: the hard part of the final exponentiation.
+    pub(crate) cofactor_digits: Vec<i8>,
     gen: G1Affine<L>,
     name: &'static str,
 }
@@ -128,12 +134,19 @@ impl<const L: usize> Curve<L> {
             y: fp.from_uint(&gen_y),
             inf: false,
         };
+        let mut miller_digits = wnaf_digits(&q.resize::<L>(), 2);
+        miller_digits.reverse();
+        assert_eq!(miller_digits.remove(0), 1, "a NAF leads with 1");
+        let mut cofactor_digits = wnaf_digits(&cof, crate::pairing::POW_WINDOW);
+        cofactor_digits.reverse();
         let curve = Self {
             fp,
             q,
             scalar,
             cofactor: cof,
             cofactor_mod_q,
+            miller_digits,
+            cofactor_digits,
             gen,
             name,
         };
@@ -327,12 +340,12 @@ impl<const L: usize> Curve<L> {
 
     /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` with 64-bit scalars —
     /// interleaved (Straus) width-4 wNAF. All odd-multiple tables are
-    /// normalized to affine by one shared [`Curve::batch_normalize`], and
+    /// normalized to affine by one shared batch inversion, and
     /// every term rides one doubling chain of ~64 steps, accumulated in
     /// Jacobian coordinates: the small-exponent combination of a batch
     /// of `N` equations costs one mixed addition per non-zero digit
     /// instead of `N` separate scalar multiplications and affine adds.
-    pub(crate) fn g1_msm_u64<'a>(
+    pub fn g1_msm_u64<'a>(
         &self,
         terms: impl IntoIterator<Item = (&'a G1Affine<L>, u64)>,
     ) -> G1Affine<L> {
@@ -672,7 +685,7 @@ impl<const L: usize> G1Jac<L> {
 /// Width-`w` NAF recoding: digits in `{0, ±1, ±3, …, ±(2^(w−1)−1)}`,
 /// least-significant first, with no two adjacent non-zeros within `w`
 /// positions.
-fn wnaf_digits<const E: usize>(k: &Uint<E>, w: u32) -> Vec<i8> {
+pub(crate) fn wnaf_digits<const E: usize>(k: &Uint<E>, w: u32) -> Vec<i8> {
     debug_assert!((2..=7).contains(&w));
     let mut k = *k;
     let window = 1u64 << w;

@@ -50,6 +50,11 @@ impl<const L: usize> Curve<L> {
         let sign_byte = h[fp_bytes + 16];
         let x = ctx.from_be_bytes_mod(&h[..fp_bytes + 16]);
         let rhs = x.square(ctx).mul(&x, ctx).add(&x, ctx);
+        // About half the candidates are non-residues: a binary Jacobi
+        // symbol rejects them for a fraction of the sqrt exponentiation.
+        if tre_bigint::prime::jacobi(&ctx.to_uint(&rhs), ctx.modulus()) == -1 {
+            return None;
+        }
         let y = rhs.sqrt(ctx)?;
         let y = if (sign_byte & 1 == 1) != y.is_odd(ctx) {
             y.neg(ctx)
@@ -107,6 +112,28 @@ mod tests {
                 "mid96 message {msg}"
             );
         }
+    }
+
+    #[test]
+    fn jacobi_pretest_rejects_exactly_the_sqrt_failures() {
+        // The pre-test may only skip candidates whose sqrt would fail.
+        fn check<const L: usize>(curve: &crate::Curve<L>) {
+            let ctx = curve.fp();
+            let mut seen = [0usize; 2];
+            for i in 0u64..64 {
+                let a = ctx.from_be_bytes_mod(&tre_hashes::xof::<tre_hashes::Sha256>(
+                    b"jacobi-pretest",
+                    &i.to_be_bytes(),
+                    tre_bigint::Uint::<L>::BYTES + 16,
+                ));
+                let symbol = tre_bigint::prime::jacobi(&ctx.to_uint(&a), ctx.modulus());
+                assert_eq!(symbol == -1, a.sqrt(ctx).is_none(), "{} #{i}", curve.name());
+                seen[(symbol == 1) as usize] += 1;
+            }
+            assert!(seen[0] > 0 && seen[1] > 0, "both residues and non-residues");
+        }
+        check(toy64());
+        check(mid96());
     }
 
     #[test]

@@ -17,11 +17,17 @@
 //!    constant, so slopes never need to be normalized: the tangent line is
 //!    scaled by `2y_T·Z⁶` and the chord by `2(x_P − x_T)·Z³`, clearing all
 //!    denominators.
+//!
+//! The same annihilation lets the loop walk the NAF of `q` (a `−1` digit
+//! adds the chord through `−P`; the discarded vertical `v_P` is an `F_p`
+//! factor), and the final exponentiation's cofactor power runs over
+//! signed digits (its base is unitary, so `x^{−1} = conj(x)`). See
+//! DESIGN.md §10 "Signed digits".
 
 use tre_bigint::{Uint, U256};
 
-use crate::curve::{Curve, G1Affine, G1Jac};
-use crate::fp::{Fp, Fp2};
+use crate::curve::{wnaf_digits, Curve, G1Affine, G1Jac};
+use crate::fp::{Fp, Fp2, FpCtx};
 
 /// An element of the order-`q` target group `G_T` (unitary subgroup of
 /// `F_{p²}^*`). Produced only by [`Curve::pairing`] and `Gt` operations.
@@ -45,8 +51,9 @@ pub struct Gt<const L: usize>(pub(crate) Fp2<L>);
 /// value `(n0 + n1·x_φQ) + y_Q·i`, and one sparse `F_{p²}` mul — less than
 /// a third of the generic Miller-loop work.
 ///
-/// Entries are in replay order (one per doubling, plus one per set order
-/// bit); `None` marks a degenerate step that contributes no line factor.
+/// Entries are in replay order (one per doubling, plus one per non-zero
+/// signed digit of the order); `None` marks a degenerate step that
+/// contributes no line factor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MillerPrecomp<const L: usize> {
     steps: Vec<Option<(Fp<L>, Fp<L>)>>,
@@ -62,6 +69,23 @@ impl<const L: usize> MillerPrecomp<L> {
     }
 }
 
+/// A generic Miller lane: the running point `T` for first argument `P`,
+/// with `φ(Q)` held as `(−x_Q, y_Q)`.
+struct Lane<const L: usize> {
+    t: G1Jac<L>,
+    p: G1Affine<L>,
+    neg_p: G1Affine<L>,
+    xq_neg: Fp<L>,
+    yq: Fp<L>,
+}
+
+/// A prepared Miller lane: stored line coefficients replayed at `φ(Q)`.
+struct PrepLane<'a, const L: usize> {
+    steps: &'a [Option<(Fp<L>, Fp<L>)>],
+    xq_neg: Fp<L>,
+    yq: Fp<L>,
+}
+
 impl<const L: usize> Curve<L> {
     /// The reduced Tate pairing with the distortion map applied to `Q`.
     ///
@@ -70,37 +94,10 @@ impl<const L: usize> Curve<L> {
     /// either input is infinity.
     pub fn pairing(&self, p: &G1Affine<L>, q_pt: &G1Affine<L>) -> Gt<L> {
         tre_obs::record_pairings(1);
-        let ctx = self.fp();
         if p.is_infinity() || q_pt.is_infinity() {
-            return Gt(Fp2::one(ctx));
+            return Gt::one(self);
         }
-        // φ(Q) = (−x_Q, i·y_Q); both coordinates live in F_p.
-        let xq_neg = q_pt.x().neg(ctx);
-        let yq = *q_pt.y();
-
-        let mut f = Fp2::one(ctx);
-        let mut t = G1Jac {
-            x: *p.x(),
-            y: *p.y(),
-            z: ctx.one(),
-        };
-        let order = *self.order();
-        let bits = order.bits();
-        for i in (0..bits - 1).rev() {
-            f = f.square(ctx);
-            let (t2, line) = self.double_step(&t, &xq_neg, &yq);
-            if let Some(l) = line {
-                f = f.mul(&l, ctx);
-            }
-            t = t2;
-            if order.bit(i) {
-                let (t3, line) = self.add_step(&t, p, &xq_neg, &yq);
-                if let Some(l) = line {
-                    f = f.mul(&l, ctx);
-                }
-                t = t3;
-            }
-        }
+        let f = self.miller_loop(&[], &mut [self.lane(p, q_pt)]);
         Gt(self.final_exponentiation(&f))
     }
 
@@ -120,56 +117,7 @@ impl<const L: usize> Curve<L> {
     /// non-trivial `ê(pk, H)` lane unmatched, so the product is ≠ 1 and
     /// bisection still isolates the offending entry).
     pub fn multi_pairing(&self, pairs: &[(G1Affine<L>, G1Affine<L>)]) -> Gt<L> {
-        let ctx = self.fp();
-        struct Lane<const L: usize> {
-            t: G1Jac<L>,
-            p: G1Affine<L>,
-            xq_neg: Fp<L>,
-            yq: Fp<L>,
-        }
-        let mut lanes: Vec<Lane<L>> = pairs
-            .iter()
-            .filter(|(p, q)| !p.is_infinity() && !q.is_infinity())
-            .map(|(p, q)| Lane {
-                t: G1Jac {
-                    x: *p.x(),
-                    y: *p.y(),
-                    z: ctx.one(),
-                },
-                p: *p,
-                xq_neg: q.x().neg(ctx),
-                yq: *q.y(),
-            })
-            .collect();
-        if lanes.is_empty() {
-            return Gt(Fp2::one(ctx));
-        }
-        // Each live lane counts as one pairing: the shared loop changes the
-        // cost, not the number of bilinear evaluations performed.
-        tre_obs::record_pairings(lanes.len() as u64);
-        let mut f = Fp2::one(ctx);
-        let order = *self.order();
-        let bits = order.bits();
-        for i in (0..bits - 1).rev() {
-            f = f.square(ctx);
-            for lane in &mut lanes {
-                let (t2, line) = self.double_step(&lane.t, &lane.xq_neg, &lane.yq);
-                if let Some(l) = line {
-                    f = f.mul(&l, ctx);
-                }
-                lane.t = t2;
-            }
-            if order.bit(i) {
-                for lane in &mut lanes {
-                    let (t3, line) = self.add_step(&lane.t, &lane.p, &lane.xq_neg, &lane.yq);
-                    if let Some(l) = line {
-                        f = f.mul(&l, ctx);
-                    }
-                    lane.t = t3;
-                }
-            }
-        }
-        Gt(self.final_exponentiation(&f))
+        self.multi_pairing_mixed(&[], pairs)
     }
 
     /// Naive product of pairings (independent Miller loops and final
@@ -197,20 +145,15 @@ impl<const L: usize> Curve<L> {
                 inf: true,
             };
         }
+        let neg_p = self.g1_neg(p);
         let mut raw: Vec<Option<(Fp<L>, Fp<L>, Fp<L>)>> = Vec::new();
-        let mut t = G1Jac {
-            x: *p.x(),
-            y: *p.y(),
-            z: ctx.one(),
-        };
-        let order = *self.order();
-        let bits = order.bits();
-        for i in (0..bits - 1).rev() {
+        let mut t = G1Jac::from_affine(p, ctx);
+        for &d in &self.miller_digits {
             let (t2, coeffs) = self.double_step_coeffs(&t);
             raw.push(coeffs);
             t = t2;
-            if order.bit(i) {
-                let (t3, coeffs) = self.add_step_coeffs(&t, p);
+            if d != 0 {
+                let (t3, coeffs) = self.add_step_coeffs(&t, if d > 0 { p } else { &neg_p });
                 raw.push(coeffs);
                 t = t3;
             }
@@ -244,26 +187,10 @@ impl<const L: usize> Curve<L> {
     /// inputs (including infinity on either side and low-order `Q`).
     pub fn pairing_prepared(&self, prep: &MillerPrecomp<L>, q_pt: &G1Affine<L>) -> Gt<L> {
         tre_obs::record_pairings(1);
-        let ctx = self.fp();
         if prep.inf || q_pt.is_infinity() {
-            return Gt(Fp2::one(ctx));
+            return Gt::one(self);
         }
-        let xq_neg = q_pt.x().neg(ctx);
-        let yq = *q_pt.y();
-        let mut f = Fp2::one(ctx);
-        let order = *self.order();
-        let bits = order.bits();
-        let mut si = 0usize;
-        for i in (0..bits - 1).rev() {
-            f = f.square(ctx);
-            f = self.eval_prepared_line(&f, &prep.steps[si], &xq_neg, &yq);
-            si += 1;
-            if order.bit(i) {
-                f = self.eval_prepared_line(&f, &prep.steps[si], &xq_neg, &yq);
-                si += 1;
-            }
-        }
-        debug_assert_eq!(si, prep.steps.len(), "prepared step count mismatch");
+        let f = self.miller_loop(&[self.prep_lane(prep, q_pt)], &mut []);
         Gt(self.final_exponentiation(&f))
     }
 
@@ -285,80 +212,92 @@ impl<const L: usize> Curve<L> {
         prepared: &[(&MillerPrecomp<L>, G1Affine<L>)],
         generic: &[(G1Affine<L>, G1Affine<L>)],
     ) -> Gt<L> {
-        let ctx = self.fp();
-        struct PrepLane<'a, const L: usize> {
-            prep: &'a MillerPrecomp<L>,
-            xq_neg: Fp<L>,
-            yq: Fp<L>,
-        }
-        struct GenLane<const L: usize> {
-            t: G1Jac<L>,
-            p: G1Affine<L>,
-            xq_neg: Fp<L>,
-            yq: Fp<L>,
-        }
         let plines: Vec<PrepLane<'_, L>> = prepared
             .iter()
             .filter(|(prep, q)| !prep.inf && !q.is_infinity())
-            .map(|(prep, q)| PrepLane {
-                prep,
-                xq_neg: q.x().neg(ctx),
-                yq: *q.y(),
-            })
+            .map(|(prep, q)| self.prep_lane(prep, q))
             .collect();
-        let mut glines: Vec<GenLane<L>> = generic
+        let mut glines: Vec<Lane<L>> = generic
             .iter()
             .filter(|(p, q)| !p.is_infinity() && !q.is_infinity())
-            .map(|(p, q)| GenLane {
-                t: G1Jac {
-                    x: *p.x(),
-                    y: *p.y(),
-                    z: ctx.one(),
-                },
-                p: *p,
-                xq_neg: q.x().neg(ctx),
-                yq: *q.y(),
-            })
+            .map(|(p, q)| self.lane(p, q))
             .collect();
         if plines.is_empty() && glines.is_empty() {
-            return Gt(Fp2::one(ctx));
+            return Gt::one(self);
         }
+        // Each live lane counts as one pairing: the shared loop changes the
+        // cost, not the number of bilinear evaluations performed.
         tre_obs::record_pairings((plines.len() + glines.len()) as u64);
+        let f = self.miller_loop(&plines, &mut glines);
+        Gt(self.final_exponentiation(&f))
+    }
+
+    /// A generic lane for the finite pair `(P, Q)`.
+    fn lane(&self, p: &G1Affine<L>, q_pt: &G1Affine<L>) -> Lane<L> {
+        Lane {
+            t: G1Jac::from_affine(p, self.fp()),
+            p: *p,
+            neg_p: self.g1_neg(p),
+            xq_neg: q_pt.x().neg(self.fp()),
+            yq: *q_pt.y(),
+        }
+    }
+
+    /// A prepared lane for a finite `Q` against a finite preparation.
+    fn prep_lane<'a>(&self, prep: &'a MillerPrecomp<L>, q_pt: &G1Affine<L>) -> PrepLane<'a, L> {
+        PrepLane {
+            steps: &prep.steps,
+            xq_neg: q_pt.x().neg(self.fp()),
+            yq: *q_pt.y(),
+        }
+    }
+
+    /// The shared Miller loop: every lane walks the signed digits of `q`
+    /// through one squaring chain. Per digit, `f` is squared, each lane
+    /// multiplies in its tangent line, and on a non-zero digit `d` each
+    /// lane adds the chord through `T` and `d·P`. A `−1` digit's chord
+    /// through `−P` stands in for `f_{−1,P} = 1/v_P`, an `F_p` factor
+    /// (DESIGN.md §10 "Signed digits"). All preparations on a curve
+    /// record the same step sequence, so one index walks every prepared
+    /// lane in lockstep.
+    fn miller_loop(&self, prepared: &[PrepLane<'_, L>], generic: &mut [Lane<L>]) -> Fp2<L> {
+        let ctx = self.fp();
         let mut f = Fp2::one(ctx);
-        let order = *self.order();
-        let bits = order.bits();
-        // All preparations for one curve have identical step structure
-        // (one entry per doubling plus one per set order bit), so a single
-        // shared index walks every prepared lane in lockstep.
         let mut si = 0usize;
-        for i in (0..bits - 1).rev() {
+        for &d in &self.miller_digits {
             f = f.square(ctx);
-            for lane in &plines {
-                f = self.eval_prepared_line(&f, &lane.prep.steps[si], &lane.xq_neg, &lane.yq);
+            for lane in prepared {
+                f = self.eval_prepared_line(&f, &lane.steps[si], &lane.xq_neg, &lane.yq);
             }
             si += 1;
-            for lane in &mut glines {
+            for lane in generic.iter_mut() {
                 let (t2, line) = self.double_step(&lane.t, &lane.xq_neg, &lane.yq);
                 if let Some(l) = line {
                     f = f.mul(&l, ctx);
                 }
                 lane.t = t2;
             }
-            if order.bit(i) {
-                for lane in &plines {
-                    f = self.eval_prepared_line(&f, &lane.prep.steps[si], &lane.xq_neg, &lane.yq);
+            if d == 0 {
+                continue;
+            }
+            for lane in prepared {
+                f = self.eval_prepared_line(&f, &lane.steps[si], &lane.xq_neg, &lane.yq);
+            }
+            si += 1;
+            for lane in generic.iter_mut() {
+                let p = if d > 0 { &lane.p } else { &lane.neg_p };
+                let (t3, line) = self.add_step(&lane.t, p, &lane.xq_neg, &lane.yq);
+                if let Some(l) = line {
+                    f = f.mul(&l, ctx);
                 }
-                si += 1;
-                for lane in &mut glines {
-                    let (t3, line) = self.add_step(&lane.t, &lane.p, &lane.xq_neg, &lane.yq);
-                    if let Some(l) = line {
-                        f = f.mul(&l, ctx);
-                    }
-                    lane.t = t3;
-                }
+                lane.t = t3;
             }
         }
-        Gt(self.final_exponentiation(&f))
+        debug_assert!(
+            prepared.iter().all(|l| l.steps.len() == si),
+            "prepared step count mismatch"
+        );
+        f
     }
 
     /// Multiplies `f` by one stored normalized line evaluated at `φ(Q)`:
@@ -589,14 +528,51 @@ impl<const L: usize> Curve<L> {
         )
     }
 
-    /// `f ↦ f^((p²−1)/q)`, via `f^(p−1) = conj(f)·f^{−1}` then an
-    /// exponentiation by the cofactor `(p+1)/q`.
+    /// `f ↦ f^((p²−1)/q)`, via `m = f^(p−1) = conj(f)·f^{−1}` then an
+    /// exponentiation by the cofactor `(p+1)/q` over its signed digits,
+    /// recoded once in [`Curve::new`]. `m` is unitary, so a negative
+    /// digit multiplies by a conjugate.
     fn final_exponentiation(&self, f: &Fp2<L>) -> Fp2<L> {
         let ctx = self.fp();
         let inv = f.invert(ctx).expect("Miller value is nonzero");
-        let f_pm1 = f.conjugate(ctx).mul(&inv, ctx);
-        f_pm1.pow(&self.cofactor().clone(), ctx)
+        let m = f.conjugate(ctx).mul(&inv, ctx);
+        pow_unitary(&odd_powers(&m, ctx), &self.cofactor_digits, ctx)
     }
+}
+
+/// Signed-digit window width for unitary exponentiation: digits in
+/// `{0, ±1, ±3, …, ±15}`, one multiplication per ~6 exponent bits.
+pub(crate) const POW_WINDOW: u32 = 5;
+
+/// The odd powers `x, x³, …, x¹⁵`: the table for width-[`POW_WINDOW`]
+/// signed digits (1 squaring + 7 multiplications).
+fn odd_powers<const L: usize>(x: &Fp2<L>, ctx: &FpCtx<L>) -> [Fp2<L>; 8] {
+    let sq = x.square(ctx);
+    let mut odd = [*x; 8];
+    for k in 1..8 {
+        odd[k] = odd[k - 1].mul(&sq, ctx);
+    }
+    odd
+}
+
+/// `x^e` for a **unitary** `x` (norm 1, so `x^{−1} = conj(x)`), given
+/// `x`'s [`odd_powers`] and the width-[`POW_WINDOW`] signed digits of `e`,
+/// most significant first. A negative digit multiplies by the conjugate
+/// of the table entry, which costs no multiplication.
+fn pow_unitary<const L: usize>(odd: &[Fp2<L>; 8], digits: &[i8], ctx: &FpCtx<L>) -> Fp2<L> {
+    let mut acc = Fp2::one(ctx);
+    for &d in digits {
+        acc = acc.square(ctx);
+        acc = match d {
+            0 => acc,
+            d if d > 0 => acc.mul(&odd[(d as usize - 1) / 2], ctx),
+            d => acc.mul(
+                &odd[(d.unsigned_abs() as usize - 1) / 2].conjugate(ctx),
+                ctx,
+            ),
+        };
+    }
+    acc
 }
 
 impl<const L: usize> Gt<L> {
@@ -636,28 +612,27 @@ impl<const L: usize> Gt<L> {
         Gt(self.0.pow(exp, curve.fp()))
     }
 
-    /// Sliding-window exponentiation: builds the odd-power table for this
+    /// Signed-window exponentiation: builds the odd-power table for this
     /// base and runs [`GtPrecomp::pow`] once. Faster than the binary
     /// [`Gt::pow`] for protocol-sized exponents (one multiplication per
-    /// ~5 exponent bits instead of per ~2, after an 8-entry table); use
+    /// ~6 exponent bits instead of per ~2, after an 8-entry table); use
     /// [`GtPrecomp`] directly when the same base is raised repeatedly.
     pub fn pow_window(&self, exp: &U256, curve: &Curve<L>) -> Self {
         GtPrecomp::new(curve, self).pow(exp, curve)
     }
 }
 
-/// Window width (bits) for [`GtPrecomp`] — table holds the 8 odd powers
-/// `x^1, x^3, …, x^15`.
-const GT_WINDOW: u32 = 4;
-
 /// Precomputed odd-power table for exponentiation of one `G_T` base.
 ///
 /// The binary ladder in [`Gt::pow`] pays one `F_{p²}` multiplication per
-/// set exponent bit (~half of them). The width-4 sliding window pays one
-/// per *window* (~1 in 5 bits) after an 8-multiplication setup — a clear
-/// win for a single protocol exponentiation, and amortized to nothing
-/// when the same base is raised repeatedly (the E15 benchmarks and the
-/// failover `^a` step on re-decryption attempts).
+/// set exponent bit (~half of them). The width-5 signed window pays one
+/// per non-zero digit (~1 in 6 bits) after an 8-multiplication setup —
+/// the same routine as the final exponentiation's cofactor power, since
+/// `G_T` elements are unitary and a negative digit multiplies by a
+/// conjugate. A clear win for a single protocol exponentiation (the
+/// receiver's `^a`), and amortized to nothing when the same base is
+/// raised repeatedly (the E15 benchmarks and the failover `^a` step on
+/// re-decryption attempts).
 #[derive(Clone, Debug)]
 pub struct GtPrecomp<const L: usize> {
     /// `odd[k] = base^(2k+1)` for `k in 0..8`.
@@ -667,47 +642,17 @@ pub struct GtPrecomp<const L: usize> {
 impl<const L: usize> GtPrecomp<L> {
     /// Builds the odd-power table (1 squaring + 7 multiplications).
     pub fn new(curve: &Curve<L>, base: &Gt<L>) -> Self {
-        let ctx = curve.fp();
-        let sq = base.0.square(ctx);
-        let mut odd = [base.0; 8];
-        for k in 1..8 {
-            odd[k] = odd[k - 1].mul(&sq, ctx);
+        Self {
+            odd: odd_powers(&base.0, curve.fp()),
         }
-        Self { odd }
     }
 
-    /// `base^exp` by left-to-right sliding window over the exponent bits.
+    /// `base^exp` over the signed digits of `exp`.
     pub fn pow(&self, exp: &U256, curve: &Curve<L>) -> Gt<L> {
-        let ctx = curve.fp();
-        let bits = exp.bits();
-        let mut acc = Fp2::one(ctx);
-        let mut i = bits as i64 - 1;
-        while i >= 0 {
-            if !exp.bit(i as u32) {
-                acc = acc.square(ctx);
-                i -= 1;
-                continue;
-            }
-            // Greedy window [j..=i], at most GT_WINDOW wide, ending on a
-            // set bit so the digit is odd and lives in the table.
-            let mut j = (i - (GT_WINDOW as i64 - 1)).max(0);
-            while !exp.bit(j as u32) {
-                j += 1;
-            }
-            let width = (i - j + 1) as u32;
-            let mut digit = 0usize;
-            for k in 0..width {
-                if exp.bit(j as u32 + k) {
-                    digit |= 1 << k;
-                }
-            }
-            for _ in 0..width {
-                acc = acc.square(ctx);
-            }
-            acc = acc.mul(&self.odd[(digit - 1) / 2], ctx);
-            i = j - 1;
-        }
-        Gt(acc)
+        // One spare limb so the recoding's carry cannot overflow.
+        let mut digits = wnaf_digits(&exp.resize::<5>(), POW_WINDOW);
+        digits.reverse();
+        Gt(pow_unitary(&self.odd, &digits, curve.fp()))
     }
 }
 
@@ -916,5 +861,227 @@ mod gt_window_tests {
         // Full-width edge: q − 1 (all high-entropy windows).
         let qm1 = curve.order().wrapping_sub(&U256::ONE);
         assert_eq!(table.pow(&qm1, curve), base.pow(&qm1, curve));
+    }
+}
+
+/// Every Miller path against an unoptimised oracle: a binary
+/// double-and-add ladder over the bits of `q` and a binary
+/// square-and-multiply final exponentiation (`Fp2::pow`).
+#[cfg(test)]
+mod reference_tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    use super::*;
+    use crate::params::{mid96, toy64};
+
+    /// The oracle: the pairing as computed before signed digits.
+    fn reference_pairing<const L: usize>(c: &Curve<L>, p: &G1Affine<L>, q: &G1Affine<L>) -> Gt<L> {
+        let ctx = c.fp();
+        if p.is_infinity() || q.is_infinity() {
+            return Gt::one(c);
+        }
+        let (xq_neg, yq) = (q.x().neg(ctx), *q.y());
+        let mut f = Fp2::one(ctx);
+        let mut t = G1Jac::from_affine(p, ctx);
+        let order = *c.order();
+        for i in (0..order.bits() - 1).rev() {
+            f = f.square(ctx);
+            let (t2, line) = c.double_step(&t, &xq_neg, &yq);
+            f = line.map_or(f, |l| f.mul(&l, ctx));
+            t = t2;
+            if order.bit(i) {
+                let (t3, line) = c.add_step(&t, p, &xq_neg, &yq);
+                f = line.map_or(f, |l| f.mul(&l, ctx));
+                t = t3;
+            }
+        }
+        let m = f.conjugate(ctx).mul(&f.invert(ctx).unwrap(), ctx);
+        Gt(m.pow(c.cofactor(), ctx))
+    }
+
+    /// The same curve with binary recodings: every shipped path then runs
+    /// the binary ladder (Miller digits in `{0, 1}`) and square-and-multiply
+    /// (cofactor digits in `{0, 1}`), for a like-for-like `Fp`-mul count.
+    fn binary_ladder<const L: usize>(c: &Curve<L>) -> Curve<L> {
+        let mut b = c.clone();
+        let q = *c.order();
+        b.miller_digits = (0..q.bits() - 1).rev().map(|i| q.bit(i) as i8).collect();
+        let h = *c.cofactor();
+        b.cofactor_digits = (0..h.bits()).rev().map(|i| h.bit(i) as i8).collect();
+        b
+    }
+
+    /// Checks all five Miller paths against the oracle on `(P, Q)`.
+    fn check_paths<const L: usize>(c: &Curve<L>, p: &G1Affine<L>, q: &G1Affine<L>) {
+        let want = reference_pairing(c, p, q);
+        let want_both = want.mul(&reference_pairing(c, q, p), c);
+        for curve in [c, &binary_ladder(c)] {
+            let (prep_p, prep_q) = (curve.prepare(p), curve.prepare(q));
+            assert_eq!(curve.pairing(p, q), want, "pairing");
+            assert_eq!(curve.pairing_prepared(&prep_p, q), want, "prepared");
+            assert_eq!(curve.multi_pairing(&[(*p, *q)]), want, "multi, 1 lane");
+            assert_eq!(
+                curve.multi_pairing(&[(*p, *q), (*q, *p)]),
+                want_both,
+                "multi"
+            );
+            assert_eq!(
+                curve.multi_pairing_mixed(&[(&prep_p, *q)], &[(*q, *p)]),
+                want_both,
+                "mixed"
+            );
+            assert_eq!(
+                curve.multi_pairing_mixed(&[(&prep_p, *q), (&prep_q, *p)], &[]),
+                want_both,
+                "mixed, prepared only"
+            );
+        }
+    }
+
+    /// A point with a non-trivial component outside `E[q]`.
+    fn raw_point<const L: usize>(c: &Curve<L>, msg: &[u8]) -> G1Affine<L> {
+        let raw = c.hash_to_g1_raw(b"signed-digits", msg);
+        assert!(!c.in_subgroup(&raw), "the raw hash point is not q-torsion");
+        raw
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn every_path_matches_the_binary_oracle_toy64(
+            a in any::<[u64; 4]>(),
+            b in any::<[u64; 4]>(),
+            msg in any::<u64>(),
+        ) {
+            let c = toy64();
+            let g = c.generator();
+            let p = c.g1_mul(&g, &U256::from_limbs(a).rem(c.order()));
+            let q = c.g1_mul(&g, &U256::from_limbs(b).rem(c.order()));
+            let raw = raw_point(c, &msg.to_be_bytes());
+            check_paths(c, &p, &q);
+            check_paths(c, &raw, &q);
+            check_paths(c, &p, &raw);
+        }
+    }
+
+    #[test]
+    fn every_path_matches_the_binary_oracle_mid96_edges() {
+        let c = mid96();
+        let ctx = c.fp();
+        let mut rng = StdRng::seed_from_u64(96);
+        let g = c.generator();
+        let p = c.g1_mul(&g, &c.random_scalar(&mut rng));
+        let q = c.g1_mul(&g, &c.random_scalar(&mut rng));
+        let inf = G1Affine::infinity(ctx);
+        let two_torsion = G1Affine {
+            x: ctx.zero(),
+            y: ctx.zero(),
+            inf: false,
+        };
+        assert!(c.is_on_curve(&two_torsion));
+        let raw = raw_point(c, b"mid96");
+        check_paths(c, &p, &q);
+        check_paths(c, &inf, &q);
+        check_paths(c, &p, &inf);
+        check_paths(c, &two_torsion, &q);
+        check_paths(c, &p, &two_torsion);
+        check_paths(c, &raw, &q);
+        check_paths(c, &p, &raw);
+        check_paths(c, &raw, &raw_point(c, b"mid96/2"));
+        check_paths(c, &p, &p);
+        check_paths(c, &p, &c.g1_neg(&p));
+        check_paths(c, &raw, &c.g1_neg(&raw));
+        assert!(!c.pairing(&p, &q).is_one(c), "non-degenerate on E[q]");
+    }
+
+    /// A random unitary element `conj(f)/f` of `F_{p²}`.
+    fn random_unitary<const L: usize>(c: &Curve<L>, rng: &mut StdRng) -> Fp2<L> {
+        let ctx = c.fp();
+        let mut bytes = vec![0u8; 2 * Uint::<L>::BYTES];
+        rng.fill_bytes(&mut bytes);
+        let (re, im) = bytes.split_at(Uint::<L>::BYTES);
+        let f = Fp2::new(ctx.from_be_bytes_mod(re), ctx.from_be_bytes_mod(im));
+        let m = f.conjugate(ctx).mul(&f.invert(ctx).unwrap(), ctx);
+        assert!(m.mul(&m.conjugate(ctx), ctx).is_one(ctx), "unitary");
+        m
+    }
+
+    #[test]
+    fn signed_window_pow_matches_binary_pow_on_unitary_elements() {
+        fn check<const L: usize>(c: &Curve<L>, rng: &mut StdRng) {
+            let ctx = c.fp();
+            for _ in 0..8 {
+                let m = random_unitary(c, rng);
+                let table = GtPrecomp::new(c, &Gt(m));
+                let q_minus_1 = c.order().wrapping_sub(&U256::ONE);
+                for e in [c.random_scalar(rng), q_minus_1, U256::from_u64(u64::MAX)] {
+                    assert_eq!(table.pow(&e, c).0, m.pow(&e, ctx));
+                }
+                // The cofactor power of the final exponentiation.
+                let odd = odd_powers(&m, ctx);
+                assert_eq!(
+                    pow_unitary(&odd, &c.cofactor_digits, ctx),
+                    m.pow(c.cofactor(), ctx)
+                );
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        check(toy64(), &mut rng);
+        check(mid96(), &mut rng);
+    }
+
+    #[test]
+    fn signed_digits_cut_every_path_to_at_most_nine_tenths_of_the_fp_muls() {
+        fn muls<T>(f: impl FnOnce() -> T) -> u64 {
+            tre_obs::enable();
+            let _ = f();
+            tre_obs::finish().total_ops().fp_muls
+        }
+        fn check<const L: usize>(c: &Curve<L>) {
+            let mut rng = StdRng::seed_from_u64(9);
+            let g = c.generator();
+            let p = c.g1_mul(&g, &c.random_scalar(&mut rng));
+            let q = c.g1_mul(&g, &c.random_scalar(&mut rng));
+            let b = binary_ladder(c);
+            let (prep, prep_b) = (c.prepare(&p), b.prepare(&p));
+            let pairs = [(p, q), (q, p)];
+            let rows = [
+                (
+                    "pairing",
+                    muls(|| c.pairing(&p, &q)),
+                    muls(|| b.pairing(&p, &q)),
+                ),
+                (
+                    "multi_pairing",
+                    muls(|| c.multi_pairing(&pairs)),
+                    muls(|| b.multi_pairing(&pairs)),
+                ),
+                ("prepare", muls(|| c.prepare(&p)), muls(|| b.prepare(&p))),
+                (
+                    "pairing_prepared",
+                    muls(|| c.pairing_prepared(&prep, &q)),
+                    muls(|| b.pairing_prepared(&prep_b, &q)),
+                ),
+                (
+                    "multi_pairing_mixed",
+                    muls(|| c.multi_pairing_mixed(&[(&prep, q)], &[(q, p)])),
+                    muls(|| b.multi_pairing_mixed(&[(&prep_b, q)], &[(q, p)])),
+                ),
+            ];
+            for (path, signed, binary) in rows {
+                assert!(signed > 0, "fp_mul accounting must be live");
+                assert!(
+                    signed * 10 <= binary * 9,
+                    "{} {path}: signed digits spend {signed} Fp muls, more than 0.9x \
+                     the binary ladder's {binary}",
+                    c.name()
+                );
+            }
+        }
+        check(toy64());
+        check(mid96());
     }
 }

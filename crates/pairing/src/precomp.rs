@@ -31,12 +31,14 @@ pub struct G1Precomp<const L: usize> {
 }
 
 impl<const L: usize> G1Precomp<L> {
-    /// Builds the table for `base` (covers full 256-bit scalars).
+    /// Builds the table for `base`, covering scalars below
+    /// `2^⌈log₂ q⌉` — every reduced scalar `k < q`.
     ///
-    /// Cost: ~`(2^W − 1) · 256/W` group additions plus one shared batch
-    /// normalization — amortized after a handful of multiplications.
+    /// Cost: ~`(2^W − 1) · ⌈log₂ q⌉/W` group additions plus one shared
+    /// batch normalization — amortized after a handful of
+    /// multiplications.
     pub fn new(curve: &Curve<L>, base: &G1Affine<L>) -> Self {
-        let windows = (U256::BITS / W) as usize;
+        let windows = curve.order().bits().div_ceil(W) as usize;
         let per_window = (1usize << W) - 1;
         if base.is_infinity() {
             return Self {
@@ -70,8 +72,15 @@ impl<const L: usize> G1Precomp<L> {
     ///
     /// Walks only the windows covering `k.bits()`, so small exponents (the
     /// 64-bit coefficients of batched verification equations) pay for 16
-    /// windows, not 64.
+    /// windows, not all of them.
+    ///
+    /// # Panics
+    /// Panics if `k` has more bits than `q` (reduce it mod `q` first).
     pub fn mul(&self, curve: &Curve<L>, k: &U256) -> G1Affine<L> {
+        assert!(
+            k.bits() <= curve.order().bits(),
+            "fixed-base scalar wider than the group order"
+        );
         tre_obs::record_scalar_mul();
         let ctx = curve.fp();
         let mut acc = crate::curve::G1Jac::infinity(ctx);
@@ -108,11 +117,18 @@ mod tests {
             let k = U256::from_u64(v);
             assert_eq!(table.mul(curve, &k), curve.g1_mul(&g, &k), "k={v}");
         }
+        // The range ends: k = 1 and k = q − 1 (the top window in use).
+        let q_minus_1 = curve.order().wrapping_sub(&U256::ONE);
+        assert_eq!(table.mul(curve, &U256::ONE), g);
+        assert_eq!(table.mul(curve, &q_minus_1), curve.g1_neg(&g));
+        assert_eq!(table.mul(curve, &q_minus_1), curve.g1_mul(&g, &q_minus_1));
+        // One table row per 4-bit window of q, not of U256.
+        assert_eq!(table.table.len(), 40, "toy64 q has 160 bits");
     }
 
     #[test]
     fn small_exponent_skips_high_windows() {
-        // A 64-bit batch exponent touches 16 windows, not all 64 — the
+        // A 64-bit batch exponent touches 16 windows, not all 40 — the
         // fp-mul count must reflect that (satellite op-counter guard).
         let curve = toy64();
         let table = G1Precomp::new(curve, &curve.generator());

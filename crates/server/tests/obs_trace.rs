@@ -151,9 +151,13 @@ fn verify_spans_attribute_two_pairings_each() {
             span.ops.h2c_iters >= 1,
             "hashing the tag to the curve takes at least one iteration"
         );
-        assert!(
-            span.ops.scalar_mults >= 1,
-            "cofactor clearing inside hash-to-curve counts"
+        // The prepared verify pairs the uncleared try-and-increment
+        // point against the server key's cofactor-folded lane (DESIGN.md
+        // §10 "Cofactor folding"): no cofactor clearing and no other
+        // scalar multiplication runs per update.
+        assert_eq!(
+            span.ops.scalar_mults, 0,
+            "prepared self-authentication clears no cofactor"
         );
     }
     // Archive recovery (under settle()) verifies in batches: the archive
